@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laws import StableLaw, sample_stable
+from .laws import StableLaw, _distinct, _local_times, sample_stable
 from .rng import as_generator
 
 
@@ -110,7 +110,7 @@ def estimate_local_time(y_path: np.ndarray, h: float, t: float,
     m = len(y_path) - 1
     j_max = int(np.floor(t * m))
     cells = _occupied_cells(y_path, h)[:j_max]
-    uniq, cnt = np.unique(cells, return_counts=True)
+    uniq, cnt, _ = _local_times(cells)
     scale = 1.0 / (m * h)
     return {int(c): float(k) * scale for c, k in zip(uniq, cnt)}
 
@@ -131,14 +131,10 @@ def _draw_components(walk_law: StableLaw, scenery_law: StableLaw,
         raise ValueError("cell width must be positive")
     y = sample_stable_path(walk_law, m, gen)
     cells = _occupied_cells(y, h)
-    uniq = np.unique(cells)
+    uniq = _distinct(cells)
     du = sample_stable(scenery_law, gen, size=uniq.size) \
         * h ** (1.0 / scenery_law.index)
-    return y, cells, _pack_field(uniq, du)
-
-
-def _pack_field(uniq: np.ndarray, du: np.ndarray):
-    return uniq, du
+    return y, cells, (uniq, du)
 
 
 def integrate_field(cells: np.ndarray, field, m: int, h: float,
@@ -184,12 +180,11 @@ def build_limit_grid(walk_law: StableLaw, scenery_law: StableLaw,
     gen = as_generator(rng)
     y, cells, field = _draw_components(walk_law, scenery_law, m, h, gen)
     uniq, du = field
-    cnt = np.bincount(np.searchsorted(uniq, cells))
+    _, cnt, _ = _local_times(cells)  # uniq holds exactly the visited cells
     scale = 1.0 / (m * h)
     return LimitGrid(
         time_mesh=np.arange(m + 1) / m,
         space_mesh=h,
         y_path=y,
-        local_time={int(c): float(k) * scale
-                    for c, k in zip(uniq, cnt) if k > 0},
+        local_time={int(c): float(k) * scale for c, k in zip(uniq, cnt)},
         u_increments={int(c): float(v) for c, v in zip(uniq, du)})

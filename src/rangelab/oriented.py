@@ -27,7 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 from .enumeration import marked_sum_law, profile_states, value_distribution
-from .laws import lattice_at_sites, lazy_vertical, rademacher, sample_lattice
+from .laws import (_distinct, _local_times, _merge_distinct, lattice_at_sites,
+                   lazy_vertical, rademacher, sample_lattice)
 from .rng import RngStream, _finalize_vec, as_generator, derive_stream, mix64, site_hash
 
 H, UP, DOWN = 0, 1, 2  # step-type codes: horizontal, vertical up, vertical down
@@ -74,14 +75,15 @@ class Environment:
         return v
 
     def orientations(self, rows) -> np.ndarray:
-        vals = lattice_at_sites(rademacher(), self.master_seed, rows)
+        # a walk revisits few rows many times: hash each distinct row once
+        uniq, _, inv = _local_times(rows)
+        vals = lattice_at_sites(rademacher(), self.master_seed, uniq)
         if self.overrides:
-            rows = np.asarray(rows, dtype=np.int64)
-            hit = np.isin(rows, np.fromiter(self.overrides, dtype=np.int64,
+            hit = np.isin(uniq, np.fromiter(self.overrides, dtype=np.int64,
                                             count=len(self.overrides)))
             if hit.any():
-                vals[hit] = [self.overrides[int(r)] for r in rows[hit]]
-        return vals
+                vals[hit] = [self.overrides[int(r)] for r in uniq[hit]]
+        return vals[inv].reshape(np.shape(rows))
 
 
 @dataclass
@@ -176,8 +178,7 @@ def skew_product_path(p: float, n: int, rng) -> LatticePath:
     omega = sample_lattice(lazy_vertical(p), rng, size=n)
     y = np.concatenate([[0], np.cumsum(omega)])
     shifts = y[:-1]  # accumulated slide of the sign sequence before step k
-    eps_seed = rng.child(_EPS_TAG).master_seed
-    signs = lattice_at_sites(rademacher(), eps_seed, shifts)
+    signs = skew_product_environment(rng).orientations(shifts)
     dx = np.where(omega == 0, signs, 0)
     x = np.concatenate([[0], np.cumsum(dx)])
     types = np.where(omega == 0, H, np.where(omega > 0, UP, DOWN)).astype(np.uint8)
@@ -208,14 +209,17 @@ def validate_path(path: LatticePath, env: Environment | None = None) -> None:
     if not ((dx[~hor] == 0).all()
             and (dy[types == UP] == 1).all() and (dy[types == DOWN] == -1).all()):
         raise ValueError("vertical steps must move y by one and hold x")
-    rows = y[:-1][hor]
-    dirs = dx[hor]
-    for row in np.unique(rows):
-        d = dirs[rows == row]
-        if not (d == d[0]).all():
-            raise ValueError(f"row {row} was crossed in both directions")
-        if env is not None and d[0] != env.orientation(int(row)):
-            raise ValueError(f"row {row} direction contradicts the environment")
+    uniq, cnt, inv = _local_times(y[:-1][hor])
+    rightward = np.bincount(inv[dx[hor] > 0], minlength=uniq.size)
+    mixed = (rightward > 0) & (rightward < cnt)
+    bad = mixed
+    if env is not None:
+        bad = mixed | (np.where(rightward > 0, 1, -1) != env.orientations(uniq))
+    if bad.any():  # report the lowest offending row, mixed directions first
+        i = int(np.argmax(bad))
+        if mixed[i]:
+            raise ValueError(f"row {uniq[i]} was crossed in both directions")
+        raise ValueError(f"row {uniq[i]} direction contradicts the environment")
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +233,7 @@ def _encode_sites(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def range_sites(path: LatticePath) -> int:
     """Number of distinct lattice sites visited up to time n (time 0 included)."""
-    return int(np.unique(_encode_sites(path.x, path.y)).size)
+    return int(_distinct(_encode_sites(path.x, path.y)).size)
 
 
 def range_first_coordinate(path: LatticePath) -> int:
@@ -246,7 +250,7 @@ def first_coordinate_spread(path: LatticePath) -> int:
 def horizontal_local_time(path: LatticePath) -> HorizontalLocalTime:
     """Count horizontal moves per row over the first n steps."""
     rows = path.y[:-1][path.step_types == H]
-    uniq, cnt = np.unique(rows, return_counts=True)
+    uniq, cnt, _ = _local_times(rows)
     return HorizontalLocalTime(
         counts={int(r): int(c) for r, c in zip(uniq, cnt)},
         steps=len(path.step_types))
@@ -503,7 +507,7 @@ def annealed_range_stats(p: float, n: int, master_seed: int,
         rows = np.concatenate([[y0], y[:-1]])
         dx = np.where(horizontal, env.orientations(rows), 0)
         x = x0 + np.cumsum(dx)
-        visited = np.union1d(visited, _encode_sites(x, y))
+        visited = _merge_distinct(visited, _distinct(_encode_sites(x, y)))
         returned = returned or bool(((x == 0) & (y == 0)).any())
         x_min = min(x_min, int(x.min()))
         x_max = max(x_max, int(x.max()))

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .enumeration import marked_sum_law
-from .laws import (LatticeLaw, lattice_at_keyed_sites, lattice_at_sites,
+from .laws import (LatticeLaw, _distinct, _lattice_blocks, _local_times,
+                   _merge_distinct, lattice_at_keyed_sites, lattice_at_sites,
                    lattice_support, sample_lattice, stable_index)
 from .rng import RngStream, mix64, site_hash
 
@@ -76,7 +77,7 @@ class LocalTimeMap:
 
     @classmethod
     def from_positions(cls, s: np.ndarray) -> "LocalTimeMap":
-        uniq, cnt = np.unique(s[1:], return_counts=True)
+        uniq, cnt, _ = _local_times(s[1:])
         return cls(counts={int(y): int(c) for y, c in zip(uniq, cnt)},
                    steps=len(s) - 1)
 
@@ -107,14 +108,13 @@ def simulate_rwrs(model: RwrsModel, n: int, master_seed: int) -> ZPath:
     s = np.concatenate([[0], np.cumsum(steps)])
     scenery_seed = mix64(master_seed, _SCENERY_TAG)
     sites = s[1:]
-    uniq, inv = np.unique(sites, return_inverse=True)
+    uniq, cnt, inv = _local_times(sites)
     site_vals = lattice_at_sites(model.scenery_law, scenery_seed, uniq)
     z = np.concatenate([[0], np.cumsum(site_vals[inv])])
     scenery = {int(y): int(v) for y, v in zip(uniq, site_vals)}
     return ZPath(model=model, walk=s, values=z, scenery=scenery,
                  local_time=LocalTimeMap(
-                     counts={int(y): int(c)
-                             for y, c in zip(uniq, np.bincount(inv))},
+                     counts={int(y): int(c) for y, c in zip(uniq, cnt)},
                      steps=n))
 
 
@@ -132,7 +132,7 @@ def v_beta(lt: LocalTimeMap, beta: float) -> float:
 
 def range_z(zpath: ZPath) -> int:
     """Number of distinct values among Z_0..Z_n (the starting 0 included)."""
-    return int(np.unique(zpath.values).size)
+    return int(_distinct(zpath.values).size)
 
 
 def z_spread(zpath: ZPath) -> int:
@@ -147,7 +147,7 @@ def z_self_intersections(zpath: ZPath) -> int:
     convention; the Cauchy-Schwarz bound n^2 <= range * this quantity
     holds regardless because every counted level lies in the range set.
     """
-    _, cnt = np.unique(zpath.values[1:], return_counts=True)
+    _, cnt, _ = _local_times(zpath.values[1:])
     return int((cnt.astype(np.int64) ** 2).sum())
 
 
@@ -294,9 +294,10 @@ def rwrs_range_stats(model: RwrsModel, n: int, master_seed: int,
     """Chunked scenery-walk statistics for horizons too long to store.
 
     Lazy site hashing makes this exact: a site revisited in a later
-    chunk reproduces the value it had in an earlier one.
+    chunk reproduces the value it had in an earlier one.  The walk steps
+    are those of simulate_rwrs at the same seed whatever the chunk size.
     """
-    gen = RngStream(mix64(master_seed, _WALK_TAG), 0).generator()
+    stream = RngStream(mix64(master_seed, _WALK_TAG), 0)
     scenery_seed = mix64(master_seed, _SCENERY_TAG)
     s0 = 0
     z0 = 0
@@ -304,22 +305,18 @@ def rwrs_range_stats(model: RwrsModel, n: int, master_seed: int,
     z_levels = np.zeros(1, dtype=np.int64)  # distinct Z values seen, sorted
     counts: dict = {}
     returned = False
-    done = 0
-    while done < n:
-        m = min(chunk, n - done)
-        steps = sample_lattice(model.walk_law, gen, size=m)
+    for steps in _lattice_blocks(model.walk_law, stream, n, chunk):
         s = s0 + np.cumsum(steps)
-        uniq, inv = np.unique(s, return_inverse=True)
+        uniq, cnt, inv = _local_times(s)
         site_vals = lattice_at_sites(model.scenery_law, scenery_seed, uniq)
         z = z0 + np.cumsum(site_vals[inv])
-        for y, c in zip(uniq.tolist(), np.bincount(inv).tolist()):
+        for y, c in zip(uniq.tolist(), cnt.tolist()):
             counts[y] = counts.get(y, 0) + c
-        z_levels = np.union1d(z_levels, z)
+        z_levels = _merge_distinct(z_levels, _distinct(z))
         returned = returned or bool((z == 0).any())
         z_min = min(z_min, int(z.min()))
         z_max = max(z_max, int(z.max()))
         s0, z0 = int(s[-1]), int(z[-1])
-        done += m
     return ScenerySummary(steps=n, z_min=z_min, z_max=z_max, z_final=z0,
                           distinct_z=int(z_levels.size),
                           self_intersections=sum(c * c for c in counts.values()),

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta as hurwitz_zeta
 from scipy.stats import cauchy, chisquare, kstest, norm
@@ -15,7 +15,8 @@ from rangelab.laws import (LatticeLaw, StableLaw, gaussian_limit,
                            pareto_tail, rademacher, sample_lattice,
                            sample_stable, simple_symmetric, stable_cf,
                            stable_index, ternary)
-from rangelab.laws import _pareto_magnitudes
+from rangelab.laws import _distinct, _local_times, _pareto_magnitudes
+from rangelab.oriented import _encode_sites
 from rangelab.rng import RngStream
 
 # ---------------------------------------------------------------------------
@@ -238,3 +239,35 @@ def test_lattice_at_sites_differs_across_seeds():
     a = lattice_at_sites(rademacher(), 1, sites)
     b = lattice_at_sites(rademacher(), 2, sites)
     assert (a != b).any()
+
+
+# ---------------------------------------------------------------------------
+# distinct values and local times, against numpy's unique as the reference
+
+_COORD = st.integers(min_value=-2**31 + 1, max_value=2**31 - 1)
+_INT_ARRAYS = st.one_of(
+    # narrow span: the offset-bincount branch once the list is long enough
+    st.lists(st.integers(min_value=-40, max_value=40), max_size=300),
+    # encoded (x, y) sites: the sort branch
+    st.lists(st.tuples(_COORD, _COORD), max_size=300).map(
+        lambda xy: _encode_sites(np.array([x for x, _ in xy], dtype=np.int64),
+                                 np.array([y for _, y in xy], dtype=np.int64))),
+    # spans up to the whole int64 range, where max - min would wrap
+    st.lists(st.integers(min_value=-2**63, max_value=2**63 - 1), max_size=50),
+).map(lambda v: np.asarray(v, dtype=np.int64))
+
+
+@given(_INT_ARRAYS)
+@example(np.array([], dtype=np.int64))
+@example(np.array([-7], dtype=np.int64))
+@example(np.arange(-500, 500) // 3)
+@example(np.array([-2**63, 2**63 - 1, 0, -2**63], dtype=np.int64))
+@settings(max_examples=300, deadline=None)
+def test_distinct_and_local_times_equal_numpy_unique(a):
+    values, inverse, counts = np.unique(a, return_inverse=True, return_counts=True)
+    got = _distinct(a)
+    assert got.dtype == np.int64 and np.array_equal(got, values)
+    v, c, inv = _local_times(a)
+    assert v.dtype == np.int64 and np.array_equal(v, values)
+    assert np.array_equal(c, counts)
+    assert np.array_equal(inv, inverse.reshape(-1))

@@ -222,6 +222,21 @@ def test_quenched_all_plus_rows_near_p_one():
     assert (path.y == 0).all()
 
 
+@pytest.mark.parametrize("rows", [
+    np.array([0, 3, 3, -5, 12, 40, 0, -100, 12, 3, 1000, -5]),  # sparse: sort route
+    np.concatenate([[40, -5, 3], np.cumsum(np.resize([1, 1, -1, 0, 1], 4000))]),
+    np.array([], dtype=np.int64),
+])
+def test_vectorised_orientations_match_the_scalar_lookup(rows):
+    plain = Environment(77)
+    # overrides that flip the hashed sign, so a skipped override shows
+    env = Environment(77, overrides={r: -plain.orientation(r) for r in (3, -5, 40)})
+    got = env.orientations(rows)
+    assert got.dtype == np.int64 and got.shape == rows.shape
+    assert got.tolist() == [env.orientation(r) for r in rows]
+    assert plain.orientations(rows).tolist() == [plain.orientation(r) for r in rows]
+
+
 def test_quenched_determinism():
     env = Environment(77)
     a = simulate_quenched(env, 0.4, 500, RngStream(8, 0))
@@ -243,6 +258,12 @@ def test_validate_rejects_mixed_directions_on_a_row():
     bad = make_path(0.5, [0, 1, 0], [0, 0, 0], [H, H])
     with pytest.raises(ValueError, match="both directions"):
         validate_path(bad)
+    # rows 0 and 1 both disagree with the environment: the lower one is named
+    env = Environment(5, overrides={0: -1, 1: 1})
+    wrong = make_path(0.5, [0, 1, 1, 0], [0, 0, 1, 1], [H, UP, H])
+    with pytest.raises(ValueError, match="row 0 direction contradicts"):
+        validate_path(wrong, env)
+    validate_path(wrong, Environment(5, overrides={0: 1, 1: -1}))
 
 
 def test_no_return_count_matches_exact_at_horizon_two():
@@ -346,6 +367,7 @@ def test_streaming_stats_match_path_functionals():
 
 
 def test_streaming_chunking_does_not_change_results():
-    a = annealed_range_stats(0.5, 3000, 17, chunk=256)
     b = annealed_range_stats(0.5, 3000, 17, chunk=1 << 20)
-    assert a == b
+    for chunk in (1, 7, 256):  # many sorted runs to merge
+        a = annealed_range_stats(0.5, 3000, 17, chunk=chunk)
+        assert a == b

@@ -229,8 +229,16 @@ def test_transient_range_fraction_decreases_and_concentrates():
 
 
 def test_streaming_stats_match_simulation():
-    summary = rwrs_range_stats(SIMPLE_TERN, 2000, 77)
-    zp = simulate_rwrs(SIMPLE_TERN, 2000, 77)
-    assert summary.z_min == int(zp.values.min())
-    assert summary.z_max == int(zp.values.max())
-    assert summary.z_final == int(zp.values[-1])
+    # the heavy-tailed walk also reads each step's second uniform; 2003 is
+    # not a multiple of the 4 uniforms in a Philox block
+    heavy = RwrsModel(pareto_tail(1.5), rademacher())
+    for model, n in ((SIMPLE_TERN, 2000), (heavy, 2003)):
+        zp = simulate_rwrs(model, n, 77)
+        for chunk in (1 << 20, 7, 1001):  # one chunk, then many to merge
+            summary = rwrs_range_stats(model, n, 77, chunk=chunk)
+            assert summary.z_min == int(zp.values.min())
+            assert summary.z_max == int(zp.values.max())
+            assert summary.z_final == int(zp.values[-1])
+            assert summary.distinct_z == range_z(zp)
+            assert summary.self_intersections == self_intersections(zp.local_time)
+            assert summary.returned == bool((zp.values[1:] == 0).any())
