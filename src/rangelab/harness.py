@@ -23,7 +23,10 @@ from .laws import StableLaw
 from .rng import mix64
 
 MAX_TOTAL_STEPS = 20_000_000_000
-STREAMING_THRESHOLD = 10_000_000
+# Largest walk horizon, limit mesh or escape horizon of one trial.  Peak
+# memory (tracemalloc, sizes up to 2^23) is at most 30 MB plus 58 B per
+# step, for an rwrs escape row with pareto laws, so no trial passes 2 GB.
+MAX_TRIAL_STEPS = 30_000_000
 
 _SIZE_TAG = 401
 
@@ -162,6 +165,9 @@ class ExperimentSpec:
             raise ResourceCapError(
                 f"trials * sum(sizes) = {budget} exceeds the cap of "
                 f"{MAX_TOTAL_STEPS}")
+        if max(sizes) > MAX_TRIAL_STEPS:
+            raise ResourceCapError(f"size {max(sizes)} exceeds the per-trial "
+                                   f"cap of {MAX_TRIAL_STEPS} steps")
 
 
 def _require_params(params: dict, required: set, optional: set = frozenset()):
@@ -215,19 +221,10 @@ def _build_trial_fn(model: str, params: dict):
             raise ConfigError(f"p must lie in (0, 1), got {p}")
 
         def run(n, seed, outputs, horizon):
-            path = oriented.simulate_annealed(p, n, seed)
-            out = {}
-            if "range" in outputs:
-                out["range"] = oriented.range_sites(path)
-            if "first_range" in outputs:
-                out["first_range"] = oriented.range_first_coordinate(path)
-            if "first_spread" in outputs:
-                out["first_spread"] = oriented.first_coordinate_spread(path)
-            if "escape" in outputs:
-                t = min(horizon or n, n)
-                hit = ((path.x[1:t + 1] == 0) & (path.y[1:t + 1] == 0)).any()
-                out["escape"] = 0 if hit else 1
-            return out
+            s = oriented.annealed_range_stats(p, n, seed)
+            return {"range": s.sites, "first_range": s.first_range,
+                    "first_spread": s.x_max - s.x_min,
+                    "escape": 0 if 0 < s.first_return <= (horizon or n) else 1}
 
         return run
 
@@ -241,22 +238,10 @@ def _build_trial_fn(model: str, params: dict):
             raise ConfigError(f"bad walk/scenery pair: {exc}") from exc
 
         def run(n, seed, outputs, horizon):
-            zp = rwrs.simulate_rwrs(model_obj, n, seed)
-            out = {}
-            if "zrange" in outputs:
-                out["zrange"] = rwrs.range_z(zp)
-            if "zspread" in outputs:
-                out["zspread"] = rwrs.z_spread(zp)
-            if "vn" in outputs:
-                out["vn"] = rwrs.self_intersections(zp.local_time)
-            if "vbeta" in outputs:
-                out["vbeta"] = rwrs.v_beta(zp.local_time, model_obj.beta)
-            if "zv" in outputs:
-                out["zv"] = rwrs.z_self_intersections(zp)
-            if "escape" in outputs:
-                t = min(horizon or n, n)
-                out["escape"] = 0 if (zp.values[1:t + 1] == 0).any() else 1
-            return out
+            s = rwrs.rwrs_range_stats(model_obj, n, seed)
+            return {"zrange": s.distinct_z, "zspread": s.z_max - s.z_min,
+                    "vn": s.self_intersections, "vbeta": s.vbeta, "zv": s.zv,
+                    "escape": 0 if 0 < s.first_return <= (horizon or n) else 1}
 
         return run
 
@@ -344,6 +329,9 @@ def estimate_escape(model: str, params: dict, horizon: int, trials: int,
     if horizon * trials > MAX_TOTAL_STEPS:
         raise ResourceCapError(f"horizon * trials = {horizon * trials} exceeds "
                                f"the cap of {MAX_TOTAL_STEPS}")
+    if horizon > MAX_TRIAL_STEPS:
+        raise ResourceCapError(f"horizon {horizon} exceeds the per-trial cap "
+                               f"of {MAX_TRIAL_STEPS} steps")
     if model == "oriented":
         _require_params(params, {"p"})
         survivors = oriented.no_return_count(float(params["p"]), horizon,

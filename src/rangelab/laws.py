@@ -289,10 +289,7 @@ def _values_from_uniforms(law: LatticeLaw, u0: np.ndarray,
         return np.where(u0 < 0.5, -1, 1).astype(np.int64)
     if law.kind in ("ternary", "lazy_vertical"):
         zm = law.zero_mass
-        out = np.zeros(u0.shape, dtype=np.int64)
-        out[u0 >= zm] = 1
-        out[u0 >= zm + (1.0 - zm) / 2.0] = -1
-        return out
+        return (u0 >= zm).astype(np.int64) - 2 * (u0 >= zm + (1.0 - zm) / 2.0)
     # pareto_tail: u0 picks atom vs signed tail, u1 picks the magnitude
     p0 = lattice_pmf(law, 0)
     out = np.zeros(u0.shape, dtype=np.int64)
@@ -305,31 +302,32 @@ def _values_from_uniforms(law: LatticeLaw, u0: np.ndarray,
 
 def sample_lattice(law: LatticeLaw, rng, size: int | None = None):
     """Draw from ``law`` using a stream or generator; scalar when size is None."""
-    gen = as_generator(rng)
     n = 1 if size is None else int(size)
-    u = gen.random((2, n))
-    vals = _values_from_uniforms(law, u[0], u[1])
+    vals = next(_lattice_blocks(law, rng, n, max(n, 1)), np.zeros(0, dtype=np.int64))
     return int(vals[0]) if size is None else vals
 
 
-def _lattice_blocks(law: LatticeLaw, stream, n: int, chunk: int):
-    """Yield sample_lattice(law, stream, size=n) in consecutive blocks of at
-    most chunk draws, so that the blocks do not depend on chunk.
+def _lattice_blocks(law: LatticeLaw, rng, n: int, chunk: int):
+    """Yield n draws from ``law`` in consecutive blocks of at most chunk draws,
+    so that the blocks do not depend on chunk.
 
-    The one-shot draw reads u0 from the stream's first n uniforms and u1
-    from the next n; u1 comes from a second generator moved past the first
-    n (Philox advance(k) skips 4k uniforms).
+    u0 is read from the first n uniforms of rng and, for pareto_tail only,
+    u1 from the next n.  Across blocks u1 comes from a second generator of
+    the stream moved past the first n (Philox advance(k) skips 4k
+    uniforms), so rng must then be an RngStream, not a Generator.
     """
-    gen0 = stream.generator()
-    gen1 = None
+    gen = as_generator(rng)
+    second = None
     if law.kind == "pareto_tail":
-        gen1 = stream.generator()
-        gen1.bit_generator.advance(n // 4)
-        gen1.random(n % 4)
+        second = gen
+        if n > chunk:
+            second = rng.generator()
+            second.bit_generator.advance(n // 4)
+            second.random(n % 4)
     for done in range(0, n, chunk):
         m = min(chunk, n - done)
-        yield _values_from_uniforms(law, gen0.random(m),
-                                    None if gen1 is None else gen1.random(m))
+        yield _values_from_uniforms(  # arguments run in order: u0 before u1
+            law, gen.random(m), None if second is None else second.random(m))
 
 
 def lattice_at_sites(law: LatticeLaw, seed: int, sites) -> np.ndarray:
@@ -405,6 +403,18 @@ def _merge_distinct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     s = np.sort(np.concatenate([a, b]), kind="stable")
     return s[_first_of_runs(s)]
+
+
+def _merge_local_times(a: np.ndarray, ca: np.ndarray, b: np.ndarray,
+                       cb: np.ndarray):
+    """Sorted distinct union of two sorted int64 arrays a and b, with their
+    values' counts ca and cb added up."""
+    if a.size == 0:
+        return b, cb
+    order = np.argsort(np.concatenate([a, b]), kind="stable")
+    s = np.concatenate([a, b])[order]
+    starts = np.flatnonzero(_first_of_runs(s))
+    return s[starts], np.add.reduceat(np.concatenate([ca, cb])[order], starts)
 
 
 def _local_times(a):

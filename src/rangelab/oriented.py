@@ -11,9 +11,12 @@ here by drawing a fresh lazy environment per trial.
 Alongside the direct simulators there is a second, measure-preserving
 construction: iterate the shift T((e_k), (w_k)) = ((e_(k+w_0)), (w_(k+1)))
 on the product of an orientation sequence and a step sequence, reading
-off one increment per iterate.  Both routes must agree in law with the
-exact enumeration oracle, which is the strongest correctness check in
-the test suite.
+off one increment per iterate.  Its increment k reads the sign sequence
+at the walker's current row, so the shift-map path is the quenched walk
+in that sign field and shares the walk kernel of the direct simulators;
+the batch endpoint samplers of both routes share one batch loop.  Both
+routes must agree in law with the exact enumeration oracle, which is the
+strongest correctness check in the test suite.
 
 Horizons up to 14 admit exact computation by merging step sequences
 that share the same per-row displacement profile; see enumeration.py.
@@ -27,9 +30,9 @@ from functools import lru_cache
 import numpy as np
 
 from .enumeration import marked_sum_law, profile_states, value_distribution
-from .laws import (_distinct, _local_times, _merge_distinct, lattice_at_sites,
-                   lazy_vertical, rademacher, sample_lattice)
-from .rng import RngStream, _finalize_vec, as_generator, derive_stream, mix64, site_hash
+from .laws import (_distinct, _lattice_blocks, _local_times, _merge_distinct,
+                   lattice_at_sites, lazy_vertical, rademacher, sample_lattice)
+from .rng import RngStream, _finalize_vec, derive_stream, mix64, site_hash
 
 H, UP, DOWN = 0, 1, 2  # step-type codes: horizontal, vertical up, vertical down
 
@@ -128,17 +131,25 @@ def simulate_quenched(env: Environment, p: float, n: int, rng) -> LatticePath:
     _check_p(p)
     if n < 0:
         raise ValueError("step count must be nonnegative")
-    gen = as_generator(rng)
-    u = gen.random(n)
-    horizontal = u < p
-    up = ~horizontal & (u < p + (1.0 - p) / 2.0)
-    dy = up.astype(np.int64) - (~horizontal & ~up).astype(np.int64)
-    y = np.concatenate([[0], np.cumsum(dy)])
-    rows = y[:-1]  # row occupied while each step is taken
-    dx = np.where(horizontal, env.orientations(rows), 0)
-    x = np.concatenate([[0], np.cumsum(dx)])
-    types = np.where(horizontal, H, np.where(dy > 0, UP, DOWN)).astype(np.uint8)
-    return LatticePath(p=p, x=x, y=y, step_types=types)
+    x, y, dy = next(_walk_blocks(env, p, n, rng, max(n, 1)),
+                    np.zeros((3, 0), dtype=np.int64))
+    types = np.where(dy == 0, H, np.where(dy > 0, UP, DOWN)).astype(np.uint8)
+    return LatticePath(p=p, x=np.concatenate([[0], x]),
+                       y=np.concatenate([[0], y]), step_types=types)
+
+
+def _walk_blocks(env: Environment, p: float, n: int, rng, chunk: int):
+    """Yield (x, y, dy) for steps 1..n of the walk in env, chunk steps at a
+    time: positions after each step and the vertical increments, 0 on the
+    horizontal steps.  The blocks do not depend on chunk.
+    """
+    x0 = y0 = 0
+    for dy in _lattice_blocks(lazy_vertical(p), rng, n, chunk):
+        y = y0 + np.cumsum(dy)
+        # a horizontal step stays on its row, so y there is the row it moves along
+        x = x0 + np.cumsum(np.where(dy == 0, env.orientations(y), 0))
+        x0, y0 = int(x[-1]), int(y[-1])
+        yield x, y, dy
 
 
 def simulate_annealed(p: float, n: int, master_seed: int) -> LatticePath:
@@ -147,9 +158,8 @@ def simulate_annealed(p: float, n: int, master_seed: int) -> LatticePath:
     Environment rows and step types come from independent sub-seeds, so
     averaging over master seeds averages over both sources at once.
     """
-    env = Environment(mix64(master_seed, _ENV_TAG))
-    rng = RngStream(mix64(master_seed, _WALK_TAG), 0)
-    return simulate_quenched(env, p, n, rng)
+    return simulate_quenched(annealed_environment(master_seed), p, n,
+                             RngStream(mix64(master_seed, _WALK_TAG), 0))
 
 
 def annealed_environment(master_seed: int) -> Environment:
@@ -169,20 +179,12 @@ def skew_product_path(p: float, n: int, rng) -> LatticePath:
 
     Concretely, after k iterates the sign sequence has been slid by the
     partial sum of the first k steps, so increment k is e evaluated at
-    the walker's current row.  The sign sequence is realized lazily
-    through a hashed field split off from ``rng``.
+    the walker's current row: the path is the quenched walk in the sign
+    field, drawn by the same kernel.  The sign sequence is realized
+    lazily through a hashed field split off from ``rng``, which must be
+    an RngStream.
     """
-    _check_p(p)
-    if n < 0:
-        raise ValueError("step count must be nonnegative")
-    omega = sample_lattice(lazy_vertical(p), rng, size=n)
-    y = np.concatenate([[0], np.cumsum(omega)])
-    shifts = y[:-1]  # accumulated slide of the sign sequence before step k
-    signs = skew_product_environment(rng).orientations(shifts)
-    dx = np.where(omega == 0, signs, 0)
-    x = np.concatenate([[0], np.cumsum(dx)])
-    types = np.where(omega == 0, H, np.where(omega > 0, UP, DOWN)).astype(np.uint8)
-    return LatticePath(p=p, x=x, y=y, step_types=types)
+    return simulate_quenched(skew_product_environment(rng), p, n, rng)
 
 
 def skew_product_environment(rng) -> Environment:
@@ -275,21 +277,42 @@ def first_coordinate_decomposition(path: LatticePath, env: Environment) -> int:
 # vectorized batches (many independent trials at once)
 
 
-def _batch_steps(gen, m: int, n: int, p: float):
-    u = gen.random((m, n))
-    horizontal = u < p
-    up = ~horizontal & (u < p + (1.0 - p) / 2.0)
-    dy = up.astype(np.int64) - (~horizontal & ~up).astype(np.int64)
-    y = np.cumsum(dy, axis=1)
-    rows = np.concatenate([np.zeros((m, 1), dtype=np.int64), y[:, :-1]], axis=1)
-    return horizontal, y, rows
-
-
 def _batch_orientations(env_keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
     # one finalizer round over (per-trial key) xor (row): an independent
     # +-1 field per trial, constant per row within a trial
     h = _finalize_vec(env_keys[:, None] ^ rows.astype(np.uint64))
     return np.where((h >> np.uint64(63)).astype(bool), 1, -1)
+
+
+def _batch_chunks(p: float, n: int, trials: int, base: int, tag: int,
+                  rows_per_chunk: int):
+    """Yield (c0, dx, y) for the trials c0.. of each chunk: one row of
+    horizontal increments dx and of positions y after each step per trial.
+
+    Chunk c draws its steps from stream (base, c); trial i reads its
+    orientation field through the key site_hash(base, i, counter=tag).
+    """
+    law = lazy_vertical(p)
+    for c0 in range(0, trials, rows_per_chunk):
+        m = min(rows_per_chunk, trials - c0)
+        gen = derive_stream(base, c0 // rows_per_chunk).generator()
+        dy = sample_lattice(law, gen, size=m * n).reshape(m, n)
+        y = np.cumsum(dy, axis=1)
+        keys = site_hash(base, np.arange(c0, c0 + m), counter=tag)
+        # a horizontal step stays on its row, so y there is the row it moves along
+        dx = np.where(dy == 0, _batch_orientations(keys, y), 0)
+        del dy
+        yield c0, dx, y
+
+
+def _batch_endpoints(p: float, n: int, trials: int, base: int, tag: int):
+    _check_p(p)
+    xs = np.empty(trials, dtype=np.int64)
+    ys = np.empty(trials, dtype=np.int64)
+    for c0, dx, y in _batch_chunks(p, n, trials, base, tag, _BATCH_CHUNK):
+        xs[c0:c0 + len(y)] = dx.sum(axis=1)
+        ys[c0:c0 + len(y)] = y[:, -1]
+    return xs, ys
 
 
 def annealed_endpoints(p: float, n: int, trials: int,
@@ -299,19 +322,7 @@ def annealed_endpoints(p: float, n: int, trials: int,
     Chunked internally with fixed chunk size, so results depend only on
     (p, n, trials, master_seed).
     """
-    _check_p(p)
-    xs = np.empty(trials, dtype=np.int64)
-    ys = np.empty(trials, dtype=np.int64)
-    base = mix64(master_seed, _BATCH_TAG)
-    for c0 in range(0, trials, _BATCH_CHUNK):
-        m = min(_BATCH_CHUNK, trials - c0)
-        gen = derive_stream(base, c0 // _BATCH_CHUNK).generator()
-        horizontal, y, rows = _batch_steps(gen, m, n, p)
-        env_keys = site_hash(base, np.arange(c0, c0 + m), counter=_ENV_TAG)
-        eps = _batch_orientations(env_keys, rows)
-        xs[c0:c0 + m] = np.where(horizontal, eps, 0).sum(axis=1)
-        ys[c0:c0 + m] = y[:, -1]
-    return xs, ys
+    return _batch_endpoints(p, n, trials, mix64(master_seed, _BATCH_TAG), _ENV_TAG)
 
 
 def skew_product_endpoints(p: float, n: int, trials: int,
@@ -321,22 +332,8 @@ def skew_product_endpoints(p: float, n: int, trials: int,
     Each trial realizes its own step sequence and sign field; increment k
     reads the sign field at the accumulated slide, i.e. the current row.
     """
-    _check_p(p)
-    xs = np.empty(trials, dtype=np.int64)
-    ys = np.empty(trials, dtype=np.int64)
-    base = mix64(master_seed, _BATCH_TAG, _EPS_TAG)
-    law = lazy_vertical(p)
-    for c0 in range(0, trials, _BATCH_CHUNK):
-        m = min(_BATCH_CHUNK, trials - c0)
-        gen = derive_stream(base, c0 // _BATCH_CHUNK).generator()
-        omega = sample_lattice(law, gen, size=m * n).reshape(m, n)
-        y = np.cumsum(omega, axis=1)
-        shifts = np.concatenate([np.zeros((m, 1), dtype=np.int64), y[:, :-1]], axis=1)
-        sign_keys = site_hash(base, np.arange(c0, c0 + m), counter=_EPS_TAG)
-        signs = _batch_orientations(sign_keys, shifts)
-        xs[c0:c0 + m] = np.where(omega == 0, signs, 0).sum(axis=1)
-        ys[c0:c0 + m] = y[:, -1]
-    return xs, ys
+    return _batch_endpoints(p, n, trials,
+                            mix64(master_seed, _BATCH_TAG, _EPS_TAG), _EPS_TAG)
 
 
 def no_return_count(p: float, horizon: int, trials: int, master_seed: int) -> int:
@@ -345,16 +342,10 @@ def no_return_count(p: float, horizon: int, trials: int, master_seed: int) -> in
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     survivors = 0
-    base = mix64(master_seed, _BATCH_TAG, horizon)
-    rows_per_chunk = max(1, (1 << 22) // horizon)
-    for c0 in range(0, trials, rows_per_chunk):
-        m = min(rows_per_chunk, trials - c0)
-        gen = derive_stream(base, c0 // rows_per_chunk).generator()
-        horizontal, y, rows = _batch_steps(gen, m, horizon, p)
-        env_keys = site_hash(base, np.arange(c0, c0 + m), counter=_ENV_TAG)
-        eps = _batch_orientations(env_keys, rows)
-        x = np.cumsum(np.where(horizontal, eps, 0), axis=1)
-        hit = ((x == 0) & (y == 0)).any(axis=1)
+    for _, dx, y in _batch_chunks(p, horizon, trials,
+                                  mix64(master_seed, _BATCH_TAG, horizon),
+                                  _ENV_TAG, max(1, (1 << 22) // horizon)):
+        hit = ((np.cumsum(dx, axis=1) == 0) & (y == 0)).any(axis=1)
         survivors += int((~hit).sum())
     return survivors
 
@@ -466,7 +457,11 @@ def exact_no_return_probability(p: float, horizon: int) -> float:
 
 @dataclass
 class WalkSummary:
-    """Range statistics accumulated without retaining the whole path."""
+    """Range statistics accumulated without retaining the whole path.
+
+    first_return is the first time k >= 1 with the walk at the origin,
+    0 when it never returns within its steps.
+    """
 
     steps: int
     sites: int
@@ -474,7 +469,11 @@ class WalkSummary:
     x_max: int
     x_final: int
     y_final: int
-    returned: bool
+    first_return: int
+
+    @property
+    def returned(self) -> bool:
+        return self.first_return > 0
 
     @property
     def first_range(self) -> int:
@@ -486,32 +485,21 @@ def annealed_range_stats(p: float, n: int, master_seed: int,
     """Range statistics of an annealed walk, chunked so memory scales with
     the number of distinct visited sites rather than the horizon.
 
-    Draws the same step sequence as simulate_annealed at the same seed,
-    so for n within one chunk the two routes agree path by path.
+    Walks the same path as simulate_annealed at the same seed, whatever
+    the chunk size.
     """
     _check_p(p)
-    env = Environment(mix64(master_seed, _ENV_TAG))
-    gen = RngStream(mix64(master_seed, _WALK_TAG), 0).generator()
     visited = _encode_sites(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
-    x0 = y0 = 0
-    x_min = x_max = 0
-    returned = False
-    done = 0
-    while done < n:
-        m = min(chunk, n - done)
-        u = gen.random(m)
-        horizontal = u < p
-        up = ~horizontal & (u < p + (1.0 - p) / 2.0)
-        dy = up.astype(np.int64) - (~horizontal & ~up).astype(np.int64)
-        y = y0 + np.cumsum(dy)
-        rows = np.concatenate([[y0], y[:-1]])
-        dx = np.where(horizontal, env.orientations(rows), 0)
-        x = x0 + np.cumsum(dx)
+    x_min = x_max = x_final = y_final = first_return = done = 0
+    for x, y, _ in _walk_blocks(annealed_environment(master_seed), p, n,
+                                RngStream(mix64(master_seed, _WALK_TAG), 0), chunk):
         visited = _merge_distinct(visited, _distinct(_encode_sites(x, y)))
-        returned = returned or bool(((x == 0) & (y == 0)).any())
+        if not first_return:
+            hits = np.flatnonzero((x == 0) & (y == 0))
+            first_return = done + int(hits[0]) + 1 if hits.size else 0
         x_min = min(x_min, int(x.min()))
         x_max = max(x_max, int(x.max()))
-        x0, y0 = int(x[-1]), int(y[-1])
-        done += m
-    return WalkSummary(steps=n, sites=int(visited.size), x_min=x_min,
-                       x_max=x_max, x_final=x0, y_final=y0, returned=returned)
+        x_final, y_final = int(x[-1]), int(y[-1])
+        done += x.size
+    return WalkSummary(steps=n, sites=int(visited.size), x_min=x_min, x_max=x_max,
+                       x_final=x_final, y_final=y_final, first_return=first_return)

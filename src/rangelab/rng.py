@@ -80,12 +80,6 @@ def keyed_uniform(keys, sites) -> np.ndarray:
     return (_finalize_vec(z) >> np.uint64(11)) * 2.0**-53
 
 
-def site_sign(seed: int, sites, counter: int = 0) -> np.ndarray:
-    """Plus/minus one variates attached to lattice sites (top hash bit)."""
-    h = site_hash(seed, sites, counter)
-    return np.where((h >> np.uint64(63)).astype(bool), 1, -1).astype(np.int64)
-
-
 @dataclass(frozen=True)
 class RngStream:
     """One independent random stream, identified by (master_seed, stream_id).

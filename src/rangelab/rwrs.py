@@ -26,7 +26,7 @@ import numpy as np
 
 from .enumeration import marked_sum_law
 from .laws import (LatticeLaw, _distinct, _lattice_blocks, _local_times,
-                   _merge_distinct, lattice_at_keyed_sites, lattice_at_sites,
+                   _merge_local_times, lattice_at_keyed_sites, lattice_at_sites,
                    lattice_support, sample_lattice, stable_index)
 from .rng import RngStream, mix64, site_hash
 
@@ -75,12 +75,6 @@ class LocalTimeMap:
     counts: dict
     steps: int
 
-    @classmethod
-    def from_positions(cls, s: np.ndarray) -> "LocalTimeMap":
-        uniq, cnt, _ = _local_times(s[1:])
-        return cls(counts={int(y): int(c) for y, c in zip(uniq, cnt)},
-                   steps=len(s) - 1)
-
 
 @dataclass
 class ZPath:
@@ -103,19 +97,34 @@ def simulate_rwrs(model: RwrsModel, n: int, master_seed: int) -> ZPath:
     """
     if n < 0:
         raise ValueError("step count must be nonnegative")
-    gen = RngStream(mix64(master_seed, _WALK_TAG), 0).generator()
-    steps = sample_lattice(model.walk_law, gen, size=n)
-    s = np.concatenate([[0], np.cumsum(steps)])
-    scenery_seed = mix64(master_seed, _SCENERY_TAG)
-    sites = s[1:]
-    uniq, cnt, inv = _local_times(sites)
-    site_vals = lattice_at_sites(model.scenery_law, scenery_seed, uniq)
-    z = np.concatenate([[0], np.cumsum(site_vals[inv])])
-    scenery = {int(y): int(v) for y, v in zip(uniq, site_vals)}
-    return ZPath(model=model, walk=s, values=z, scenery=scenery,
+    s, uniq, cnt, site_vals, z = next(_scenery_blocks(model, n, master_seed, max(n, 1)),
+                                      np.zeros((5, 0), dtype=np.int64))
+    return ZPath(model=model, walk=np.concatenate([[0], s]),
+                 values=np.concatenate([[0], z]),
+                 scenery={int(y): int(v) for y, v in zip(uniq, site_vals)},
                  local_time=LocalTimeMap(
                      counts={int(y): int(c) for y, c in zip(uniq, cnt)},
                      steps=n))
+
+
+def _scenery_blocks(model: RwrsModel, n: int, master_seed: int, chunk: int):
+    """Yield (s, sites, counts, values, z) for steps 1..n, chunk steps at a
+    time: walk positions, the block's distinct sites with their visit
+    counts and scenery values, and the scenery sums.  The blocks do not
+    depend on chunk.
+    """
+    scenery_seed = mix64(master_seed, _SCENERY_TAG)
+    s0 = z0 = 0
+    for steps in _lattice_blocks(model.walk_law, RngStream(mix64(master_seed, _WALK_TAG), 0),
+                                 n, chunk):
+        s = s0 + np.cumsum(steps)
+        del steps
+        uniq, cnt, inv = _local_times(s)
+        site_vals = lattice_at_sites(model.scenery_law, scenery_seed, uniq)
+        z = z0 + np.cumsum(site_vals[inv])
+        del inv
+        s0, z0 = int(s[-1]), int(z[-1])
+        yield s, uniq, cnt, site_vals, z
 
 
 def self_intersections(lt: LocalTimeMap) -> int:
@@ -274,7 +283,12 @@ def no_return_z_count(model: RwrsModel, horizon: int, trials: int,
 
 @dataclass
 class ScenerySummary:
-    """Range and self-intersection statistics without retaining the path."""
+    """Range and self-intersection statistics without retaining the path.
+
+    vbeta is v_beta of the local times at the scenery index beta, zv the
+    level self-intersections of z_self_intersections, and first_return
+    the first time k >= 1 with Z_k = 0, 0 when there is none.
+    """
 
     steps: int
     z_min: int
@@ -282,7 +296,13 @@ class ScenerySummary:
     z_final: int
     distinct_z: int
     self_intersections: int
-    returned: bool
+    vbeta: float
+    zv: int
+    first_return: int
+
+    @property
+    def returned(self) -> bool:
+        return self.first_return > 0
 
     @property
     def z_range(self) -> int:
@@ -294,30 +314,27 @@ def rwrs_range_stats(model: RwrsModel, n: int, master_seed: int,
     """Chunked scenery-walk statistics for horizons too long to store.
 
     Lazy site hashing makes this exact: a site revisited in a later
-    chunk reproduces the value it had in an earlier one.  The walk steps
-    are those of simulate_rwrs at the same seed whatever the chunk size.
+    chunk reproduces the value it had in an earlier one.  The walk and
+    the scenery sums are those of simulate_rwrs at the same seed whatever
+    the chunk size; memory scales with the distinct sites and Z levels.
     """
-    stream = RngStream(mix64(master_seed, _WALK_TAG), 0)
-    scenery_seed = mix64(master_seed, _SCENERY_TAG)
-    s0 = 0
-    z0 = 0
-    z_min = z_max = 0
-    z_levels = np.zeros(1, dtype=np.int64)  # distinct Z values seen, sorted
-    counts: dict = {}
-    returned = False
-    for steps in _lattice_blocks(model.walk_law, stream, n, chunk):
-        s = s0 + np.cumsum(steps)
-        uniq, cnt, inv = _local_times(s)
-        site_vals = lattice_at_sites(model.scenery_law, scenery_seed, uniq)
-        z = z0 + np.cumsum(site_vals[inv])
-        for y, c in zip(uniq.tolist(), cnt.tolist()):
-            counts[y] = counts.get(y, 0) + c
-        z_levels = _merge_distinct(z_levels, _distinct(z))
-        returned = returned or bool((z == 0).any())
+    sites = counts = levels = level_counts = np.zeros(0, dtype=np.int64)
+    z_min = z_max = z_final = first_return = done = 0
+    for _, uniq, cnt, _, z in _scenery_blocks(model, n, master_seed, chunk):
+        sites, counts = _merge_local_times(sites, counts, uniq, cnt)
+        zl, zc, _ = _local_times(z)
+        levels, level_counts = _merge_local_times(levels, level_counts, zl, zc)
+        if not first_return:
+            hits = np.flatnonzero(z == 0)
+            first_return = done + int(hits[0]) + 1 if hits.size else 0
         z_min = min(z_min, int(z.min()))
         z_max = max(z_max, int(z.max()))
-        s0, z0 = int(s[-1]), int(z[-1])
-    return ScenerySummary(steps=n, z_min=z_min, z_max=z_max, z_final=z0,
-                          distinct_z=int(z_levels.size),
-                          self_intersections=sum(c * c for c in counts.values()),
-                          returned=returned)
+        z_final = int(z[-1])
+        done += z.size
+    return ScenerySummary(
+        steps=n, z_min=z_min, z_max=z_max, z_final=z_final,
+        # Z_0 = 0 adds a level unless a later Z_k returns to it
+        distinct_z=int(levels.size) + (0 if first_return else 1),
+        self_intersections=int((counts ** 2).sum()),
+        vbeta=float(sum(c ** model.beta for c in counts.tolist())),
+        zv=int((level_counts ** 2).sum()), first_return=first_return)

@@ -9,7 +9,7 @@ import pytest
 
 from rangelab import cli
 from rangelab.cli import main, resolve_config
-from rangelab.harness import ConfigError
+from rangelab.harness import MAX_TRIAL_STEPS, ConfigError
 
 BASE = {"model": "oriented", "params": {"p": 0.5}, "sizes": [8, 16],
         "trials": 4, "outputs": ["range", "escape"]}
@@ -145,6 +145,15 @@ def test_exit_codes_for_broken_inputs(tmp_path, config_path):
 
 def test_budget_cap_exits_three(config_path):
     big = config_path(sizes=[20_000_000_001], trials=1, outputs=["range"])
+    assert run_cli("run", "--config", big) == 3
+
+
+def test_per_trial_cap_exits_three_before_running(config_path, monkeypatch):
+    def boom(spec):
+        raise RuntimeError("the experiment should not start")
+    monkeypatch.setattr(cli.harness, "run_experiment", boom)
+    # within the total budget, but one trial would take too much memory
+    big = config_path(sizes=[10, MAX_TRIAL_STEPS + 1], trials=1)
     assert run_cli("run", "--config", big) == 3
 
 

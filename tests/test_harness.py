@@ -8,13 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rangelab.harness import (ConfigError, ConvergenceReport, ExperimentSpec,
-                              MAX_TOTAL_STEPS, ResourceCapError, ScalingFit,
+from rangelab import harness
+from rangelab.harness import (_MODEL_OUTPUTS, _SIZE_TAG, MAX_TOTAL_STEPS,
+                              MAX_TRIAL_STEPS, ConfigError, ConvergenceReport,
+                              ExperimentSpec, ResourceCapError, ScalingFit,
                               TrialStats, convergence_diagnostic,
                               estimate_escape, expected_exponent,
                               parse_lattice_law, run_experiment, scaling_fit)
 from rangelab.laws import pareto_tail, rademacher, simple_symmetric, ternary
-from rangelab.oriented import exact_no_return_probability
+from rangelab.oriented import (exact_no_return_probability,
+                               first_coordinate_spread, range_first_coordinate,
+                               range_sites, simulate_annealed)
+from rangelab.rng import mix64
+from rangelab.rwrs import (RwrsModel, range_z, self_intersections,
+                           simulate_rwrs, v_beta, z_self_intersections,
+                           z_spread)
 
 values_lists = st.lists(
     st.floats(allow_nan=False, allow_infinity=False,
@@ -135,6 +143,31 @@ def test_budget_cap_raises_the_resource_error():
         orient_spec(sizes=[MAX_TOTAL_STEPS], trials=3)
 
 
+def test_per_trial_cap_rejects_before_anything_runs(monkeypatch):
+    def boom(*args):
+        raise AssertionError("the batch should not start")
+    monkeypatch.setattr(harness.oriented, "no_return_count", boom)
+    monkeypatch.setattr(harness.rwrs, "no_return_z_count", boom)
+    stable = {"index": 2, "a1": 0.5}
+    models = (("oriented", {"p": 0.5}, "range"),
+              ("rwrs", {"walk": "simple", "scenery": "rademacher"}, "zrange"),
+              ("limit", {"walk": stable, "scenery": stable, "h": 0.25}, "sup"))
+    for model, params, output in models:
+        spec = dict(model=model, params=params, trials=1, outputs=[output])
+        ExperimentSpec(sizes=[MAX_TRIAL_STEPS], **spec)  # built, never run
+        for sizes in ([10 ** 9], [10, MAX_TRIAL_STEPS + 1]):
+            assert sum(sizes) <= MAX_TOTAL_STEPS  # one trial: only the trial cap binds
+            with pytest.raises(ResourceCapError):
+                ExperimentSpec(sizes=sizes, **spec)
+        if model != "limit":
+            with pytest.raises(ResourceCapError):
+                estimate_escape(model, params, MAX_TRIAL_STEPS + 1, 1, 0)
+    # trials that each fit can still exceed the total budget together
+    with pytest.raises(ResourceCapError):
+        orient_spec(sizes=[MAX_TRIAL_STEPS],
+                    trials=MAX_TOTAL_STEPS // MAX_TRIAL_STEPS + 1)
+
+
 def test_limit_spec_validation():
     good = dict(model="limit",
                 params={"walk": {"index": 2, "a1": 0.5},
@@ -248,6 +281,49 @@ def test_limit_model_outputs_run_end_to_end():
         assert res[m]["inf"].mean <= 0.0
         assert res[m]["spread"].mean >= res[m]["sup"].mean
         assert res[m]["y_spread"].count == 10
+
+
+def reference_trial(model, params, n, seed, horizon):
+    """One trial's outputs read off the whole path, as the harness computed
+    them before its trials streamed."""
+    t = min(horizon or n, n)
+    if model == "oriented":
+        path = simulate_annealed(params["p"], n, seed)
+        hit = ((path.x[1:t + 1] == 0) & (path.y[1:t + 1] == 0)).any()
+        return {"range": range_sites(path),
+                "first_range": range_first_coordinate(path),
+                "first_spread": first_coordinate_spread(path),
+                "escape": 0 if hit else 1}
+    m = RwrsModel(parse_lattice_law(params["walk"]),
+                  parse_lattice_law(params["scenery"]))
+    zp = simulate_rwrs(m, n, seed)
+    return {"zrange": range_z(zp), "zspread": z_spread(zp),
+            "vn": self_intersections(zp.local_time),
+            "vbeta": v_beta(zp.local_time, m.beta),
+            "zv": z_self_intersections(zp),
+            "escape": 0 if (zp.values[1:t + 1] == 0).any() else 1}
+
+
+@pytest.mark.parametrize("model, params, horizon", [
+    ("oriented", {"p": 0.5}, None),
+    ("oriented", {"p": 0.3}, 7),             # horizon below n
+    ("oriented", {"p": 0.7}, 10 ** 6),       # horizon above n
+    ("rwrs", {"walk": "simple", "scenery": "rademacher"}, None),
+    ("rwrs", {"walk": "pareto:1.5", "scenery": "pareto:0.8"}, 9),
+    ("rwrs", {"walk": "lazy:0.3", "scenery": "ternary:0.3"}, 10 ** 6),
+])
+def test_streamed_trials_match_the_path_holding_reference(model, params, horizon):
+    outputs = _MODEL_OUTPUTS[model]
+    spec = ExperimentSpec(model=model, params=params, sizes=[40, 301],
+                          trials=12, outputs=outputs, master_seed=21,
+                          horizon=horizon)
+    res = run_experiment(spec)
+    for n in spec.sizes:
+        size_seed = mix64(21, _SIZE_TAG, n)
+        trials = [reference_trial(model, params, n, mix64(size_seed, i), horizon)
+                  for i in range(spec.trials)]
+        for stat in outputs:
+            assert res[n][stat] == TrialStats.from_values(t[stat] for t in trials)
 
 
 # ---------------------------------------------------------------------------

@@ -364,10 +364,14 @@ def test_streaming_stats_match_path_functionals():
     assert summary.x_final == path.x[-1] and summary.y_final == path.y[-1]
     origin_hits = ((path.x[1:] == 0) & (path.y[1:] == 0)).any()
     assert summary.returned == bool(origin_hits)
+    first = np.flatnonzero((path.x[1:] == 0) & (path.y[1:] == 0))[0] + 1
+    assert summary.first_return == first
 
 
 def test_streaming_chunking_does_not_change_results():
-    b = annealed_range_stats(0.5, 3000, 17, chunk=1 << 20)
-    for chunk in (1, 7, 256):  # many sorted runs to merge
-        a = annealed_range_stats(0.5, 3000, 17, chunk=chunk)
-        assert a == b
+    # the first walk never returns to the origin, the second does at step 1622
+    for n, seed in ((3000, 17), (5000, 31)):
+        b = annealed_range_stats(0.5, n, seed, chunk=1 << 20)
+        for chunk in (1, 7, 256):  # many sorted runs to merge
+            a = annealed_range_stats(0.5, n, seed, chunk=chunk)
+            assert a == b

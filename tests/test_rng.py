@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rangelab.laws import lattice_at_sites, rademacher
 from rangelab.rng import (RngStream, as_generator, derive_stream, mix64,
-                          site_hash, site_sign, site_uniform)
+                          site_hash, site_uniform)
 
 # splitmix64 golden values; a change here would silently re-randomize
 # every experiment in the package, so they are pinned hard
@@ -77,7 +78,8 @@ def test_site_uniform_is_uniform():
 
 
 def test_site_sign_values_and_balance():
-    s = site_sign(11, np.arange(100_000))
+    # a rademacher field reads the top hash bit: one balanced sign per site
+    s = lattice_at_sites(rademacher(), 11, np.arange(100_000))
     assert set(np.unique(s)) <= {-1, 1}
     assert abs(s.mean()) < 4.0 / np.sqrt(100_000)
 

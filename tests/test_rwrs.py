@@ -234,7 +234,8 @@ def test_streaming_stats_match_simulation():
     heavy = RwrsModel(pareto_tail(1.5), rademacher())
     for model, n in ((SIMPLE_TERN, 2000), (heavy, 2003)):
         zp = simulate_rwrs(model, n, 77)
-        for chunk in (1 << 20, 7, 1001):  # one chunk, then many to merge
+        hits = np.flatnonzero(zp.values[1:] == 0)
+        for chunk in (1 << 20, 1, 7, 1001):  # one chunk, then many to merge
             summary = rwrs_range_stats(model, n, 77, chunk=chunk)
             assert summary.z_min == int(zp.values.min())
             assert summary.z_max == int(zp.values.max())
@@ -242,3 +243,6 @@ def test_streaming_stats_match_simulation():
             assert summary.distinct_z == range_z(zp)
             assert summary.self_intersections == self_intersections(zp.local_time)
             assert summary.returned == bool((zp.values[1:] == 0).any())
+            assert summary.first_return == (hits[0] + 1 if hits.size else 0)
+            assert summary.vbeta == v_beta(zp.local_time, model.beta)
+            assert summary.zv == z_self_intersections(zp)

@@ -1,0 +1,197 @@
+"""Pinned random streams: sha256 digests of every sampler's exact output.
+
+The digests were computed once and must never change.  A refactor of a
+sampler that changes even one value of any stream below fails here; a
+deliberate stream change must update the digest and say so in
+CHANGES.md.  Every case uses fresh streams, so the cases are independent.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from rangelab.laws import (lazy_vertical, pareto_tail, rademacher,
+                           sample_lattice, simple_symmetric, ternary)
+from rangelab.oriented import (Environment, annealed_endpoints,
+                               annealed_range_stats, no_return_count,
+                               simulate_annealed, simulate_quenched,
+                               skew_product_endpoints, skew_product_path)
+from rangelab.rng import RngStream
+from rangelab.rwrs import (RwrsModel, no_return_z_count, rwrs_range_stats,
+                           simulate_rwrs)
+
+SEEDS = (7, 11, 12345)
+SIZES = (0, 1, 5, 1000)
+PS = (0.2, 0.5, 0.9)
+LAWS = (rademacher(), simple_symmetric(), ternary(0.3), lazy_vertical(0.5),
+        ternary(0.0), pareto_tail(1.5), pareto_tail(0.7))
+MODELS = (RwrsModel(simple_symmetric(), rademacher()),
+          RwrsModel(lazy_vertical(0.3), ternary(0.3)),
+          RwrsModel(ternary(0.0), pareto_tail(1.5)),
+          RwrsModel(pareto_tail(1.5), rademacher()),
+          RwrsModel(pareto_tail(0.7), pareto_tail(0.8)))
+
+
+def digest(parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        a = np.asarray(part)
+        if a.dtype.kind in "biu":
+            a = a.astype(np.int64)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def walk_parts(path):
+    return [path.x, path.y, path.step_types]
+
+
+def walk_summary_parts(s):
+    return [[s.steps, s.sites, s.x_min, s.x_max, s.x_final, s.y_final,
+             s.returned]]
+
+
+def scenery_summary_parts(s):
+    return [[s.steps, s.z_min, s.z_max, s.z_final, s.distinct_z,
+             s.self_intersections, s.returned]]
+
+
+def simulate_annealed_parts():
+    for seed in SEEDS:
+        for p in PS:
+            for n in SIZES:
+                yield from walk_parts(simulate_annealed(p, n, seed))
+
+
+def simulate_quenched_parts():
+    overrides = {0: -1, 1: 1, -1: 1, 2: -1, -3: -1}
+    for seed in SEEDS:
+        env = Environment(seed ^ 0x5A5A, overrides=overrides)
+        for p in PS:
+            for n in SIZES:
+                yield from walk_parts(simulate_quenched(env, p, n,
+                                                        RngStream(seed, 3)))
+                gen = np.random.default_rng(seed)
+                yield from walk_parts(simulate_quenched(env, p, n, gen))
+
+
+def skew_product_path_parts():
+    for seed in SEEDS:
+        for p in PS:
+            for n in SIZES:
+                yield from walk_parts(skew_product_path(p, n, RngStream(seed, 1)))
+
+
+def annealed_range_stats_parts():
+    for seed in SEEDS:
+        for p in PS:
+            for n in SIZES:
+                for chunk in (1 << 20, 7):
+                    yield from walk_summary_parts(
+                        annealed_range_stats(p, n, seed, chunk=chunk))
+
+
+def annealed_endpoints_parts():
+    for seed in SEEDS:
+        for p in PS:
+            for n in (1, 5, 1000):
+                yield from annealed_endpoints(p, n, 50, seed)
+    yield from annealed_endpoints(0.5, 3, 70_000, 99)  # crosses a chunk
+
+
+def skew_product_endpoints_parts():
+    for seed in SEEDS:
+        for p in PS:
+            for n in (1, 5, 1000):
+                yield from skew_product_endpoints(p, n, 50, seed)
+    yield from skew_product_endpoints(0.5, 3, 70_000, 99)
+
+
+def no_return_count_parts():
+    for seed in SEEDS:
+        for p in PS:
+            for horizon in (1, 5, 1000):
+                yield no_return_count(p, horizon, 200, seed)
+    yield no_return_count(0.5, 1000, 5000, 99)  # crosses a chunk
+
+
+def simulate_rwrs_parts():
+    for seed in SEEDS:
+        for model in MODELS:
+            for n in SIZES:
+                zp = simulate_rwrs(model, n, seed)
+                yield from (zp.walk, zp.values,
+                            sorted(zp.scenery.items()),
+                            sorted(zp.local_time.counts.items()),
+                            zp.local_time.steps)
+
+
+def rwrs_range_stats_parts():
+    for seed in SEEDS:
+        for model in MODELS:
+            for n in SIZES:
+                for chunk in (1 << 20, 7):
+                    yield from scenery_summary_parts(
+                        rwrs_range_stats(model, n, seed, chunk=chunk))
+
+
+def no_return_z_count_parts():
+    for seed in SEEDS:
+        for model in MODELS:
+            for horizon in (1, 5, 1000):
+                yield no_return_z_count(model, horizon, 200, seed)
+    yield no_return_z_count(MODELS[0], 1000, 5000, 99)  # crosses a chunk
+
+
+def sample_lattice_parts():
+    for seed in SEEDS:
+        for law in LAWS:
+            yield sample_lattice(law, RngStream(seed, 0))
+            for n in SIZES + (4097,):
+                yield sample_lattice(law, RngStream(seed, 0), size=n)
+                yield sample_lattice(law, np.random.default_rng(seed), size=n)
+
+
+CASES = {
+    "annealed_endpoints": (
+        annealed_endpoints_parts,
+        "4e9ed89f180cf773802c3ffcdf5ce2cc3eb2598476387b30b8ae677e36bf7644"),
+    "annealed_range_stats": (
+        annealed_range_stats_parts,
+        "42225d36ca5048bfaae3c8ad4b88bfffec657199f877351202ca51c48a34e847"),
+    "no_return_count": (
+        no_return_count_parts,
+        "6d7b2d9f5fa57803ea52e25ba5320520fa936c24437bc1762b96b36745abb9a6"),
+    "no_return_z_count": (
+        no_return_z_count_parts,
+        "f5619d19253ede77b5c444b092ab96503c959c0b276f917c4b58bb306d9d53ff"),
+    "rwrs_range_stats": (
+        rwrs_range_stats_parts,
+        "7136399562d933dcf82f13d53414fdbb3644d7f868146ad9e7ee9e74d705762e"),
+    "sample_lattice": (
+        sample_lattice_parts,
+        "d4660cfcdc764d322ac57a5e95f1688a44b2c3454ab55d475723f42a7a136b3b"),
+    "simulate_annealed": (
+        simulate_annealed_parts,
+        "134053cfb874277355f69b086ba0582d345ad672621dfa5b139629f5aec1fc98"),
+    "simulate_quenched": (
+        simulate_quenched_parts,
+        "579d4546ca582f6b4bd3571bcb37566e7f7504d7e8e68b1bc82642f275e38971"),
+    "simulate_rwrs": (
+        simulate_rwrs_parts,
+        "3a21365e1b04241a0c6dbed454266820bdd13a9f4c2b5d71e4a1bb08c212f5b2"),
+    "skew_product_endpoints": (
+        skew_product_endpoints_parts,
+        "219964f17a88a70b04d7af5c8bdb2673aded9035fd8fc02395edf79286305d48"),
+    "skew_product_path": (
+        skew_product_path_parts,
+        "74260ca766a7eae6fb866bdf4aa2a549d1ceba9de57982379f5c9b176d48d61e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stream_digest_is_pinned(name):
+    parts, want = CASES[name]
+    assert digest(parts()) == want
