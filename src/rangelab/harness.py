@@ -3,10 +3,13 @@ deterministic parallel trials, scaling fits and convergence diagnostics.
 
 Determinism contract: trial i of size n draws from the stream
 (mix of master seed and n, i), so results are a pure function of the
-experiment spec.  Trials may be executed by any number of workers in
-any order; per-trial outputs land in trial-indexed slots and the
-reduction to TrialStats uses exact rational accumulators, so the merge
-is associative and commutative not just in theory but bit for bit.
+experiment spec.  Walk trials run in blocks of consecutive trials, one
+row of at most 2^20 steps per trial: each row draws from its own trial's
+stream and reads its own hashed field, and only the work after the draws
+is batched.  Blocks may be executed by any number of workers in any
+order; per-trial outputs land in trial-indexed slots, and TrialStats
+sums integral values as Python ints and the others as Fractions, so the
+merge is associative and commutative not just in theory but bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from scipy.stats import norm
 
 from . import limit, oriented, rwrs
 from .laws import StableLaw
-from .rng import mix64
+from .rng import RngStream, _mix64_vec, mix64
 
 MAX_TOTAL_STEPS = 20_000_000_000
 # Largest walk horizon, limit mesh or escape horizon of one trial.  Peak
@@ -29,6 +32,8 @@ MAX_TOTAL_STEPS = 20_000_000_000
 MAX_TRIAL_STEPS = 30_000_000
 
 _SIZE_TAG = 401
+# Walk trials run in blocks of at most this many trial-steps, one row per trial
+_TRIAL_BLOCK = 1 << 20
 
 
 class ConfigError(ValueError):
@@ -45,34 +50,36 @@ class ResourceCapError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrialStats:
-    """Count, sum and sum of squares with exact rational accumulators.
+    """Count, sum and sum of squares, accumulated exactly.
 
-    Floats convert to Fraction losslessly, so merging is exactly
+    Integral values are summed as Python ints, the others as Fractions
+    (floats convert to Fraction losslessly), so merging is exactly
     associative and commutative; mean and CI are materialized as floats
     only on read.
     """
 
     count: int = 0
-    total: Fraction = Fraction(0)
-    total_sq: Fraction = Fraction(0)
+    total: int | Fraction = 0
+    total_sq: int | Fraction = 0
 
     @classmethod
     def from_values(cls, values) -> "TrialStats":
-        total = Fraction(0)
-        total_sq = Fraction(0)
-        k = 0
-        for v in values:
-            f = Fraction(float(v))
+        v = np.asarray(values if isinstance(values, np.ndarray)
+                       else [float(x) for x in values], dtype=float).ravel()
+        # infinities count as integral, and int() refuses them as Fraction() does
+        whole = v == np.floor(v)
+        ints = [int(x) for x in v[whole].tolist()]
+        total = sum(ints)
+        total_sq = sum(x * x for x in ints)
+        for f in map(Fraction, v[~whole].tolist()):
             total += f
             total_sq += f * f
-            k += 1
-        return cls(count=k, total=total, total_sq=total_sq)
+        return cls(count=v.size, total=total, total_sq=total_sq)
 
     @classmethod
     def from_indicator(cls, count: int, successes: int) -> "TrialStats":
         # 0/1 outcomes: the sum and the sum of squares coincide
-        return cls(count=count, total=Fraction(successes),
-                   total_sq=Fraction(successes))
+        return cls(count=count, total=successes, total_sq=successes)
 
     def merge(self, other: "TrialStats") -> "TrialStats":
         return TrialStats(count=self.count + other.count,
@@ -95,7 +102,7 @@ class TrialStats:
     def sample_variance(self) -> float:
         if self.count < 2:
             raise ValueError("variance needs at least two trials")
-        num = self.total_sq - self.total * self.total / self.count
+        num = self.total_sq - Fraction(self.total) * self.total / self.count
         return max(0.0, float(num / (self.count - 1)))
 
     def ci_half(self, confidence: float = 0.99) -> float | None:
@@ -213,18 +220,25 @@ def _stable_law_from(params, what: str) -> StableLaw:
 
 
 def _build_trial_fn(model: str, params: dict):
-    """Validate params and return f(size, seed, outputs, horizon) -> dict."""
+    """Validate params and return f(size, seeds, outputs, horizon) ->
+    {statistic: values}, one value per trial seed of the uint64 array seeds."""
     if model == "oriented":
         _require_params(params, {"p"})
         p = float(params["p"])
         if not 0.0 < p < 1.0:
             raise ConfigError(f"p must lie in (0, 1), got {p}")
 
-        def run(n, seed, outputs, horizon):
-            s = oriented.annealed_range_stats(p, n, seed)
-            return {"range": s.sites, "first_range": s.first_range,
-                    "first_spread": s.x_max - s.x_min,
-                    "escape": 0 if 0 < s.first_return <= (horizon or n) else 1}
+        def run(n, seeds, outputs, horizon):
+            if n > _TRIAL_BLOCK:
+                sites, x_min, x_max, first_return = _streamed(
+                    [oriented.annealed_range_stats(p, n, int(seed)) for seed in seeds],
+                    ("sites", "x_min", "x_max", "first_return"))
+            else:
+                sites, x_min, x_max, first_return = oriented._trial_block(
+                    p, n, seeds, "range" in outputs)
+            return {"range": sites, "first_range": x_max - x_min + 1,
+                    "first_spread": x_max - x_min,
+                    "escape": _escapes(first_return, horizon or n)}
 
         return run
 
@@ -237,11 +251,18 @@ def _build_trial_fn(model: str, params: dict):
         except ValueError as exc:
             raise ConfigError(f"bad walk/scenery pair: {exc}") from exc
 
-        def run(n, seed, outputs, horizon):
-            s = rwrs.rwrs_range_stats(model_obj, n, seed)
-            return {"zrange": s.distinct_z, "zspread": s.z_max - s.z_min,
-                    "vn": s.self_intersections, "vbeta": s.vbeta, "zv": s.zv,
-                    "escape": 0 if 0 < s.first_return <= (horizon or n) else 1}
+        def run(n, seeds, outputs, horizon):
+            if n > _TRIAL_BLOCK:
+                block = _streamed(
+                    [rwrs.rwrs_range_stats(model_obj, n, int(seed)) for seed in seeds],
+                    ("z_min", "z_max", "distinct_z", "self_intersections",
+                     "vbeta", "zv", "first_return"))
+            else:
+                block = rwrs._trial_block(model_obj, n, seeds)
+            z_min, z_max, distinct_z, vn, vbeta, zv, first_return = block
+            return {"zrange": distinct_z, "zspread": z_max - z_min, "vn": vn,
+                    "vbeta": vbeta, "zv": zv,
+                    "escape": _escapes(first_return, horizon or n)}
 
         return run
 
@@ -255,8 +276,7 @@ def _build_trial_fn(model: str, params: dict):
     if walk_law.index <= 1.0:
         raise ConfigError("limit model needs a walk index above 1")
 
-    def run(m, seed, outputs, horizon):
-        from .rng import RngStream
+    def one(m, seed, outputs):
         gen = RngStream(seed, 0).generator()
         need_delta = bool({"sup", "inf", "spread"} & set(outputs))
         out = {}
@@ -278,7 +298,22 @@ def _build_trial_fn(model: str, params: dict):
                 out["y_spread"] = fy.spread
         return out
 
+    def run(m, seeds, outputs, horizon):
+        trials = [one(m, int(seed), outputs) for seed in seeds]
+        return {stat: [t[stat] for t in trials] for stat in outputs}
+
     return run
+
+
+def _streamed(summaries, fields):
+    # streamed trials' summaries as a block reducer returns them: one array
+    # per field
+    return [np.array([getattr(s, f) for s in summaries]) for f in fields]
+
+
+def _escapes(first_return, horizon):
+    # 1 for a walk that has not come back by the horizon
+    return np.where((first_return > 0) & (first_return <= horizon), 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -291,25 +326,32 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     Trial i of size n uses the stream derived from (master_seed, n, i)
     regardless of worker count or completion order, and per-trial values
     land in trial-indexed slots before reduction, so two runs of the
-    same spec agree exactly.
+    same spec agree exactly.  Walk trials run as blocks of consecutive
+    trials, at most _TRIAL_BLOCK steps in all; a longer walk streams on
+    its own, and limit trials run one at a time.
     """
     trial_fn = _build_trial_fn(spec.model, dict(spec.params))
     results: dict = {}
     for n in spec.sizes:
         size_seed = mix64(spec.master_seed, _SIZE_TAG, n)
+        rows = 1 if spec.model == "limit" else max(1, _TRIAL_BLOCK // n)
         slots = {stat: np.empty(spec.trials) for stat in spec.outputs}
 
-        def one(i: int) -> None:
-            out = trial_fn(n, mix64(size_seed, i), spec.outputs, spec.horizon)
+        def block(i0: int) -> None:
+            i1 = min(i0 + rows, spec.trials)
+            # trial i's seed is mix64(size_seed, i)
+            seeds = _mix64_vec(size_seed, np.arange(i0, i1, dtype=np.uint64))
+            out = trial_fn(n, seeds, spec.outputs, spec.horizon)
             for stat in spec.outputs:
-                slots[stat][i] = out[stat]
+                slots[stat][i0:i1] = out[stat]
 
+        starts = range(0, spec.trials, rows)
         if spec.threads > 1:
             with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-                list(pool.map(one, range(spec.trials)))
+                list(pool.map(block, starts))
         else:
-            for i in range(spec.trials):
-                one(i)
+            for i0 in starts:
+                block(i0)
         results[n] = {stat: TrialStats.from_values(slots[stat])
                       for stat in spec.outputs}
     return results

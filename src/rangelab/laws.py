@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
 
-from .rng import as_generator, keyed_uniform, site_uniform
+from .rng import _finalize_vec, as_generator, keyed_uniform, site_uniform
 
 # ---------------------------------------------------------------------------
 # stable laws
@@ -115,6 +115,7 @@ def sample_stable(law: StableLaw, rng, size: int | None = None):
 
 _KINDS = ("rademacher", "ternary", "lazy_vertical", "simple_symmetric",
           "pareto_tail")
+_TWO_POINT = ("rademacher", "simple_symmetric")
 
 
 @dataclass(frozen=True)
@@ -283,13 +284,18 @@ def _values_from_uniforms(law: LatticeLaw, u0: np.ndarray,
                           u1: np.ndarray | None) -> np.ndarray:
     """Map uniform pairs to law values; the single shared inversion kernel.
 
-    Only pareto_tail reads u1; the other kinds accept None for it.
+    Only pareto_tail reads u1; the other kinds accept None for it.  The
+    bounded kinds come back as int8, pareto_tail as int64.
     """
-    if law.kind in ("rademacher", "simple_symmetric"):
-        return np.where(u0 < 0.5, -1, 1).astype(np.int64)
+    if law.kind in _TWO_POINT:
+        out = (u0 >= 0.5).view(np.int8)
+        out += out - 1
+        return out
     if law.kind in ("ternary", "lazy_vertical"):
         zm = law.zero_mass
-        return (u0 >= zm).astype(np.int64) - 2 * (u0 >= zm + (1.0 - zm) / 2.0)
+        out = (u0 >= zm).view(np.int8)
+        out -= 2 * (u0 >= zm + (1.0 - zm) / 2.0).view(np.int8)
+        return out
     # pareto_tail: u0 picks atom vs signed tail, u1 picks the magnitude
     p0 = lattice_pmf(law, 0)
     out = np.zeros(u0.shape, dtype=np.int64)
@@ -300,11 +306,24 @@ def _values_from_uniforms(law: LatticeLaw, u0: np.ndarray,
     return out
 
 
+def _keyed_signs(keys, sites) -> np.ndarray:
+    """The two-point laws' values at keyed sites, as int8.
+
+    u0 < 1/2 holds exactly when the top bit of the site hash is clear, so
+    the sign is read off that bit without forming the uniform.
+    """
+    h = _finalize_vec(np.asarray(sites, dtype=np.int64).view(np.uint64)
+                      ^ np.asarray(keys, dtype=np.uint64))
+    signs = (np.asarray(h).view(np.int64) < 0).view(np.int8)
+    signs += signs - 1
+    return signs
+
+
 def sample_lattice(law: LatticeLaw, rng, size: int | None = None):
     """Draw from ``law`` using a stream or generator; scalar when size is None."""
     n = 1 if size is None else int(size)
     vals = next(_lattice_blocks(law, rng, n, max(n, 1)), np.zeros(0, dtype=np.int64))
-    return int(vals[0]) if size is None else vals
+    return int(vals[0]) if size is None else vals.astype(np.int64, copy=False)
 
 
 def _lattice_blocks(law: LatticeLaw, rng, n: int, chunk: int):
@@ -330,6 +349,21 @@ def _lattice_blocks(law: LatticeLaw, rng, n: int, chunk: int):
             law, gen.random(m), None if second is None else second.random(m))
 
 
+# draws the batch kernels decode and walk at a time, so that a block's
+# arrays stay in cache
+_BATCH_STEPS = 1 << 15
+
+
+def _row_blocks(law: LatticeLaw, rng, rows: int, n: int):
+    """Yield (r, steps) for the rows r.. of a (rows x n) array of draws from
+    law, a few rows at a time: the array is sample_lattice(law, rng,
+    rows * n) laid out one row of n draws per trial."""
+    per = max(1, _BATCH_STEPS // n)
+    for r, steps in zip(range(0, rows, per),
+                        _lattice_blocks(law, rng, rows * n, per * n)):
+        yield r, steps.reshape(-1, n)
+
+
 def lattice_at_sites(law: LatticeLaw, seed: int, sites) -> np.ndarray:
     """Lazy site-keyed draws: value at each site is a pure function of (seed, site).
 
@@ -339,7 +373,7 @@ def lattice_at_sites(law: LatticeLaw, seed: int, sites) -> np.ndarray:
     sites = np.asarray(sites, dtype=np.int64)
     u0 = site_uniform(seed, sites, counter=0)
     u1 = site_uniform(seed, sites, counter=1) if law.kind == "pareto_tail" else None
-    return _values_from_uniforms(law, u0, u1)
+    return _values_from_uniforms(law, u0, u1).astype(np.int64, copy=False)
 
 
 def lattice_at_keyed_sites(law: LatticeLaw, key0, key1, sites) -> np.ndarray:
@@ -348,8 +382,10 @@ def lattice_at_keyed_sites(law: LatticeLaw, key0, key1, sites) -> np.ndarray:
     key0 and key1 broadcast against sites (shape (m, 1) keys against
     (m, n) sites evaluates m fields at once).  With scalar keys
     mix64(seed, 0) and mix64(seed, 1) this reproduces lattice_at_sites
-    exactly.
+    exactly.  Values come in the decoder's dtype, int8 for the bounded kinds.
     """
+    if law.kind in _TWO_POINT:
+        return _keyed_signs(key0, sites)
     u1 = keyed_uniform(key1, sites) if law.kind == "pareto_tail" else None
     return _values_from_uniforms(law, keyed_uniform(key0, sites), u1)
 
@@ -393,6 +429,19 @@ def _distinct(a) -> np.ndarray:
         return np.flatnonzero(cnt) + lo
     s = np.sort(a)
     return s[_first_of_runs(s)]
+
+
+def _counts(a):
+    """Distinct values and their counts: _local_times without the inverse."""
+    a = np.asarray(a, dtype=np.int64).ravel()
+    narrow = _offset_counts(a)
+    if narrow is not None:
+        lo, _, cnt = narrow
+        present = np.flatnonzero(cnt)
+        return present + lo, cnt[present]
+    s = np.sort(a)
+    starts = np.flatnonzero(_first_of_runs(s))
+    return s[starts], np.diff(starts, append=s.size)
 
 
 def _merge_distinct(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -30,9 +30,11 @@ from functools import lru_cache
 import numpy as np
 
 from .enumeration import marked_sum_law, profile_states, value_distribution
-from .laws import (_distinct, _lattice_blocks, _local_times, _merge_distinct,
-                   lattice_at_sites, lazy_vertical, rademacher, sample_lattice)
-from .rng import RngStream, _finalize_vec, derive_stream, mix64, site_hash
+from .laws import (_distinct, _keyed_signs, _lattice_blocks, _local_times,
+                   _merge_distinct, _row_blocks, _values_from_uniforms,
+                   lattice_at_sites, lazy_vertical, rademacher)
+from .rng import (RngStream, _mix64_vec, _uniform_rows, derive_stream, mix64,
+                  site_hash)
 
 H, UP, DOWN = 0, 1, 2  # step-type codes: horizontal, vertical up, vertical down
 
@@ -277,32 +279,35 @@ def first_coordinate_decomposition(path: LatticePath, env: Environment) -> int:
 # vectorized batches (many independent trials at once)
 
 
-def _batch_orientations(env_keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    # one finalizer round over (per-trial key) xor (row): an independent
-    # +-1 field per trial, constant per row within a trial
-    h = _finalize_vec(env_keys[:, None] ^ rows.astype(np.uint64))
-    return np.where((h >> np.uint64(63)).astype(bool), 1, -1)
+def _block_steps(dy: np.ndarray, keys: np.ndarray):
+    """Walks from rows of vertical increments dy, 0 on the horizontal steps:
+    (dx, y), the horizontal increments and the positions after each step.
+
+    Row r reads its orientation field through the key keys[r], i.e. row
+    y's direction is the sign lattice_at_keyed_sites gives at (keys[r], y).
+    """
+    y = np.cumsum(dy, axis=1, dtype=np.int64)
+    # a horizontal step stays on its row, so y there is the row it moves along
+    dx = _keyed_signs(keys[:, None], y)
+    dx *= dy == 0
+    return dx, y
 
 
 def _batch_chunks(p: float, n: int, trials: int, base: int, tag: int,
                   rows_per_chunk: int):
-    """Yield (c0, dx, y) for the trials c0.. of each chunk: one row of
+    """Yield (r, dx, y) for consecutive blocks of trials r..: one row of
     horizontal increments dx and of positions y after each step per trial.
 
-    Chunk c draws its steps from stream (base, c); trial i reads its
-    orientation field through the key site_hash(base, i, counter=tag).
+    Chunk c of rows_per_chunk trials draws its steps from stream (base, c);
+    trial i reads its orientation field through the key
+    site_hash(base, i, counter=tag).
     """
-    law = lazy_vertical(p)
     for c0 in range(0, trials, rows_per_chunk):
         m = min(rows_per_chunk, trials - c0)
-        gen = derive_stream(base, c0 // rows_per_chunk).generator()
-        dy = sample_lattice(law, gen, size=m * n).reshape(m, n)
-        y = np.cumsum(dy, axis=1)
-        keys = site_hash(base, np.arange(c0, c0 + m), counter=tag)
-        # a horizontal step stays on its row, so y there is the row it moves along
-        dx = np.where(dy == 0, _batch_orientations(keys, y), 0)
-        del dy
-        yield c0, dx, y
+        stream = derive_stream(base, c0 // rows_per_chunk)
+        for r, dy in _row_blocks(lazy_vertical(p), stream, m, n):
+            keys = site_hash(base, np.arange(c0 + r, c0 + r + len(dy)), counter=tag)
+            yield (c0 + r, *_block_steps(dy, keys))
 
 
 def _batch_endpoints(p: float, n: int, trials: int, base: int, tag: int):
@@ -310,7 +315,7 @@ def _batch_endpoints(p: float, n: int, trials: int, base: int, tag: int):
     xs = np.empty(trials, dtype=np.int64)
     ys = np.empty(trials, dtype=np.int64)
     for c0, dx, y in _batch_chunks(p, n, trials, base, tag, _BATCH_CHUNK):
-        xs[c0:c0 + len(y)] = dx.sum(axis=1)
+        xs[c0:c0 + len(y)] = dx.sum(axis=1, dtype=np.int64)
         ys[c0:c0 + len(y)] = y[:, -1]
     return xs, ys
 
@@ -345,7 +350,7 @@ def no_return_count(p: float, horizon: int, trials: int, master_seed: int) -> in
     for _, dx, y in _batch_chunks(p, horizon, trials,
                                   mix64(master_seed, _BATCH_TAG, horizon),
                                   _ENV_TAG, max(1, (1 << 22) // horizon)):
-        hit = ((np.cumsum(dx, axis=1) == 0) & (y == 0)).any(axis=1)
+        hit = ((np.cumsum(dx, axis=1, dtype=np.int64) == 0) & (y == 0)).any(axis=1)
         survivors += int((~hit).sum())
     return survivors
 
@@ -503,3 +508,33 @@ def annealed_range_stats(p: float, n: int, master_seed: int,
         done += x.size
     return WalkSummary(steps=n, sites=int(visited.size), x_min=x_min, x_max=x_max,
                        x_final=x_final, y_final=y_final, first_return=first_return)
+
+
+def _trial_block(p: float, n: int, seeds, sites: bool):
+    """annealed_range_stats(p, n, seed) for each seed of the uint64 array
+    seeds, as one (trials x n) block: arrays (sites, x_min, x_max,
+    first_return), one entry per seed.
+
+    Each walk draws its steps from its own stream and reads its own
+    orientation field, as in simulate_annealed.  Counting the distinct
+    sites takes a sort of the block, so it is skipped (sites is None)
+    unless asked for.
+    """
+    dy = _values_from_uniforms(lazy_vertical(p),
+                               _uniform_rows(_mix64_vec(seeds, _WALK_TAG), n), None)
+    # annealed_environment's field: lattice_at_sites(rademacher(), seed', row)
+    # hashes the row under the key mix64(seed', 0)
+    dx, y = _block_steps(dy, _mix64_vec(_mix64_vec(seeds, _ENV_TAG), 0))
+    del dy
+    x = np.cumsum(dx, axis=1, dtype=np.int64)
+    del dx
+    home = (x == 0) & (y == 0)
+    first_return = np.where(home.any(axis=1), home.argmax(axis=1) + 1, 0)
+    count = None
+    if sites:
+        enc = _encode_sites(x, y)
+        enc.sort(axis=1)
+        # distinct sites per row, plus the origin unless the walk came back
+        count = (enc[:, 1:] != enc[:, :-1]).sum(axis=1) + 1 + (first_return == 0)
+    return (count, np.minimum(x.min(axis=1), 0), np.maximum(x.max(axis=1), 0),
+            first_return)

@@ -46,10 +46,20 @@ def mix64(*words: int) -> int:
 
 
 def _finalize_vec(z: np.ndarray) -> np.ndarray:
-    z = z + np.uint64(_GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    # splitmix64 finalizer in place on z, a uint64 array the caller owns,
+    # with one scratch array; 0-d input comes back as a scalar
+    z = np.asarray(z)
+    t = np.empty_like(z)
+    z += np.uint64(_GOLDEN)
+    np.right_shift(z, np.uint64(30), out=t)
+    z ^= t
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= np.uint64(0x94D049BB133111EB)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z[()]
 
 
 def site_hash(seed: int, sites, counter: int = 0) -> np.ndarray:
@@ -59,8 +69,7 @@ def site_hash(seed: int, sites, counter: int = 0) -> np.ndarray:
     first, then each site gets one more finalizer round.
     """
     prefix = np.uint64(mix64(seed, counter))
-    z = np.asarray(sites, dtype=np.int64).astype(np.uint64) ^ prefix
-    return _finalize_vec(z)
+    return _finalize_vec(np.asarray(sites, dtype=np.int64).view(np.uint64) ^ prefix)
 
 
 def site_uniform(seed: int, sites, counter: int = 0) -> np.ndarray:
@@ -75,9 +84,10 @@ def keyed_uniform(keys, sites) -> np.ndarray:
     sites)``; the split form lets many independent fields (one key per
     trial row) be evaluated in a single vectorized pass.
     """
-    z = np.asarray(sites, dtype=np.int64).astype(np.uint64) \
-        ^ np.asarray(keys, dtype=np.uint64)
-    return (_finalize_vec(z) >> np.uint64(11)) * 2.0**-53
+    z = _finalize_vec(np.asarray(sites, dtype=np.int64).view(np.uint64)
+                      ^ np.asarray(keys, dtype=np.uint64))
+    z >>= np.uint64(11)
+    return z * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -100,6 +110,31 @@ class RngStream:
     def child(self, tag: int) -> "RngStream":
         """Split off a sub-stream, e.g. one per independent noise source."""
         return RngStream(mix64(self.master_seed, self.stream_id, tag), 0)
+
+
+def _uniform_rows(seeds, width: int) -> np.ndarray:
+    """Row r holds the first width uniforms of RngStream(seeds[r], 0): one
+    stream per trial, stacked into a block."""
+    u = np.empty((len(seeds), width))
+    bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    gen = np.random.Generator(bits)
+    # a new stream's state, counter 0 and nothing buffered, is set per row
+    # rather than building a generator per row, which costs four times more
+    state = bits.state
+    for row, seed in enumerate(seeds):
+        state["state"]["key"][0] = seed
+        bits.state = state
+        gen.random(out=u[row])
+    return u
+
+
+def _mix64_vec(*words) -> np.ndarray:
+    """mix64 elementwise over words that broadcast: ints and uint64 arrays."""
+    state = np.uint64(_INIT)
+    for w in words:
+        state = _finalize_vec(np.asarray(w & _M64 if isinstance(w, int) else w,
+                                         dtype=np.uint64) ^ state)
+    return state
 
 
 def derive_stream(master_seed: int, stream_id: int) -> RngStream:

@@ -25,10 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .enumeration import marked_sum_law
-from .laws import (LatticeLaw, _distinct, _lattice_blocks, _local_times,
-                   _merge_local_times, lattice_at_keyed_sites, lattice_at_sites,
-                   lattice_support, sample_lattice, stable_index)
-from .rng import RngStream, mix64, site_hash
+from .laws import (LatticeLaw, _counts, _distinct, _lattice_blocks,
+                   _local_times, _merge_local_times, _row_blocks,
+                   _values_from_uniforms, lattice_at_keyed_sites,
+                   lattice_at_sites, lattice_support, stable_index)
+from .rng import RngStream, _mix64_vec, _uniform_rows, mix64, site_hash
 
 ENUMERATION_CAP = 12
 
@@ -133,10 +134,29 @@ def self_intersections(lt: LocalTimeMap) -> int:
 
 
 def v_beta(lt: LocalTimeMap, beta: float) -> float:
-    """Generalized self-intersections: sum of local times to the power beta."""
+    """Generalized self-intersections: sum of local times to the power beta,
+    added one at a time in the map's order (sum() compensates from 3.12 on)."""
     if beta <= 0:
         raise ValueError("exponent must be positive")
-    return float(sum(c ** beta for c in lt.counts.values()))
+    total = 0.0
+    for c in lt.counts.values():
+        total += c ** beta
+    return total
+
+
+def _power_sums(counts: np.ndarray, runs: np.ndarray, beta: float) -> np.ndarray:
+    """Per row r, the sum of c ** beta over the next runs[r] entries of counts.
+
+    The terms are Python's float pow, taken once per distinct count:
+    numpy's power differs from it in the last bit at some beta.  They are
+    added one at a time in order, as v_beta adds them (np.cumsum adds in
+    order, np.sum pairs terms up).
+    """
+    uniq, _, inv = _local_times(counts)
+    w = np.zeros((runs.size, int(runs.max(initial=0)) + 1))
+    w[np.arange(w.shape[1]) < runs[:, None]] = \
+        np.array([c ** beta for c in uniq.tolist()])[inv]
+    return np.cumsum(w, axis=1)[:, -1]
 
 
 def range_z(zpath: ZPath) -> int:
@@ -156,7 +176,7 @@ def z_self_intersections(zpath: ZPath) -> int:
     convention; the Cauchy-Schwarz bound n^2 <= range * this quantity
     holds regardless because every counted level lies in the range set.
     """
-    _, cnt, _ = _local_times(zpath.values[1:])
+    _, cnt = _counts(zpath.values[1:])
     return int((cnt.astype(np.int64) ** 2).sum())
 
 
@@ -254,6 +274,20 @@ def exact_no_return_z(model: RwrsModel, horizon: int) -> float:
 # batches and streaming
 
 
+def _block_paths(model: RwrsModel, steps: np.ndarray, key0: np.ndarray,
+                 key1: np.ndarray):
+    """Scenery walks from rows of walk steps: (s, z), the positions and the
+    scenery sums after each step, one row per walk.
+
+    Row r's scenery is the field lattice_at_keyed_sites gives under the
+    keys key0[r] and key1[r].
+    """
+    s = np.cumsum(steps, axis=1, dtype=np.int64)
+    vals = lattice_at_keyed_sites(model.scenery_law, key0[:, None],
+                                  key1[:, None], s)
+    return s, np.cumsum(vals, axis=1, dtype=np.int64)
+
+
 def no_return_z_count(model: RwrsModel, horizon: int, trials: int,
                       master_seed: int) -> int:
     """Number of trials whose scenery sum avoids 0 at all times 1..horizon.
@@ -269,15 +303,12 @@ def no_return_z_count(model: RwrsModel, horizon: int, trials: int,
     chunk = max(1, (1 << 22) // horizon)
     for c0 in range(0, trials, chunk):
         m = min(chunk, trials - c0)
-        gen = RngStream(base, c0 // chunk).generator()
-        steps = sample_lattice(model.walk_law, gen, size=m * horizon)
-        pos = np.cumsum(steps.reshape(m, horizon), axis=1)
-        ids = np.arange(c0, c0 + m)
-        key0 = site_hash(base, ids, counter=10)[:, None]
-        key1 = site_hash(base, ids, counter=11)[:, None]
-        vals = lattice_at_keyed_sites(model.scenery_law, key0, key1, pos)
-        z = np.cumsum(vals, axis=1)
-        survivors += int((z != 0).all(axis=1).sum())
+        stream = RngStream(base, c0 // chunk)
+        for r, steps in _row_blocks(model.walk_law, stream, m, horizon):
+            ids = np.arange(c0 + r, c0 + r + len(steps))
+            _, z = _block_paths(model, steps, site_hash(base, ids, counter=10),
+                                site_hash(base, ids, counter=11))
+            survivors += int((z != 0).all(axis=1).sum())
     return survivors
 
 
@@ -322,7 +353,7 @@ def rwrs_range_stats(model: RwrsModel, n: int, master_seed: int,
     z_min = z_max = z_final = first_return = done = 0
     for _, uniq, cnt, _, z in _scenery_blocks(model, n, master_seed, chunk):
         sites, counts = _merge_local_times(sites, counts, uniq, cnt)
-        zl, zc, _ = _local_times(z)
+        zl, zc = _counts(z)
         levels, level_counts = _merge_local_times(levels, level_counts, zl, zc)
         if not first_return:
             hits = np.flatnonzero(z == 0)
@@ -336,5 +367,47 @@ def rwrs_range_stats(model: RwrsModel, n: int, master_seed: int,
         # Z_0 = 0 adds a level unless a later Z_k returns to it
         distinct_z=int(levels.size) + (0 if first_return else 1),
         self_intersections=int((counts ** 2).sum()),
-        vbeta=float(sum(c ** model.beta for c in counts.tolist())),
+        vbeta=float(_power_sums(counts, np.array([counts.size]), model.beta)[0]),
         zv=int((level_counts ** 2).sum()), first_return=first_return)
+
+
+def _row_runs(a: np.ndarray):
+    """Run lengths of equal values along the rows of the row-sorted 2-D
+    array a, row after row, and the number of runs in each row."""
+    first = np.ones(a.shape, dtype=bool)
+    np.not_equal(a[:, 1:], a[:, :-1], out=first[:, 1:])
+    return np.diff(np.flatnonzero(first), append=a.size), first.sum(axis=1)
+
+
+def _trial_block(model: RwrsModel, n: int, seeds):
+    """rwrs_range_stats(model, n, seed) for each seed of the uint64 array
+    seeds, as one (trials x n) block: arrays (z_min, z_max, distinct_z,
+    self_intersections, vbeta, zv, first_return), one entry per seed.
+
+    Each walk draws its steps from its own stream and reads its own
+    scenery field, as in simulate_rwrs.
+    """
+    pairs = 2 if model.walk_law.kind == "pareto_tail" else 1
+    # as _lattice_blocks: u1 is the next n uniforms of the walk's stream
+    u = _uniform_rows(_mix64_vec(seeds, _WALK_TAG), pairs * n)
+    steps = _values_from_uniforms(model.walk_law, u[:, :n],
+                                  u[:, n:] if pairs == 2 else None)
+    del u
+    # lattice_at_sites(law, seed', sites) hashes under mix64(seed', 0 and 1)
+    scenery = _mix64_vec(seeds, _SCENERY_TAG)
+    s, z = _block_paths(model, steps, _mix64_vec(scenery, 0), _mix64_vec(scenery, 1))
+    del steps
+    home = z == 0
+    first_return = np.where(home.any(axis=1), home.argmax(axis=1) + 1, 0)
+    z_min = np.minimum(z.min(axis=1), 0)
+    z_max = np.maximum(z.max(axis=1), 0)
+    s.sort(axis=1)
+    counts, runs = _row_runs(s)
+    vn = np.add.reduceat(counts * counts, np.cumsum(runs) - runs)
+    vbeta = _power_sums(counts, runs, model.beta)
+    z.sort(axis=1)
+    counts, levels = _row_runs(z)
+    zv = np.add.reduceat(counts * counts, np.cumsum(levels) - levels)
+    # Z_0 = 0 adds a level unless a later Z_k returns to it
+    return (z_min, z_max, levels + (first_return == 0), vn, vbeta, zv,
+            first_return)

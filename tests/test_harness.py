@@ -89,6 +89,39 @@ def test_merge_is_associative_exactly(a, b, c):
     assert sa.merge(sb).merge(sc) == sa.merge(sb.merge(sc))
 
 
+def fraction_stats(values) -> TrialStats:
+    """The accumulator TrialStats used before: every value as a Fraction."""
+    total = total_sq = Fraction(0)
+    for v in values:
+        f = Fraction(float(v))
+        total += f
+        total_sq += f * f
+    return TrialStats(count=len(values), total=total, total_sq=total_sq)
+
+
+_NEAR_2_53 = st.sampled_from([2.0 ** 53, 2.0 ** 53 - 1, 2.0 ** 53 + 2,
+                              -(2.0 ** 53), 2.0 ** 54 + 4, -0.0, 0.0, 9e14])
+_INTEGRAL = st.one_of(st.integers(-2 ** 60, 2 ** 60).map(float), _NEAR_2_53)
+_ANY_FLOAT = st.one_of(_INTEGRAL, st.floats(allow_nan=False, allow_infinity=False,
+                                            min_value=-1e100, max_value=1e100))
+
+
+@given(st.one_of(st.lists(_INTEGRAL, max_size=20), st.lists(_ANY_FLOAT, max_size=20)))
+@settings(max_examples=200, deadline=None)
+def test_int_and_fraction_sums_equal_the_fraction_accumulator(values):
+    want = fraction_stats(values)
+    for got in (TrialStats.from_values(values),
+                TrialStats.from_values(np.array(values, dtype=float)),
+                TrialStats.from_values(iter(values))):
+        assert got == want
+        if values:
+            assert got.mean == want.mean
+            assert got.second_moment == want.second_moment
+            assert got.ci_half() == want.ci_half()
+    if all(float(v).is_integer() for v in values):
+        assert isinstance(TrialStats.from_values(values).total, int)
+
+
 # ---------------------------------------------------------------------------
 # spec validation
 
@@ -216,6 +249,15 @@ def test_worker_count_does_not_touch_the_numbers():
     pooled = orient_spec(sizes=[80], trials=24, outputs=["range", "first_range"],
                          master_seed=9, threads=4)
     assert run_experiment(serial) == run_experiment(pooled)
+    # 2^20 trial-steps hold 64 walks of 2^14 steps: 150 trials make three
+    # blocks, the last one partial, which the workers share
+    for model, params in (("oriented", {"p": 0.5}),
+                          ("rwrs", {"walk": "simple", "scenery": "rademacher"})):
+        runs = [run_experiment(ExperimentSpec(
+                    model=model, params=params, sizes=[1 << 14], trials=150,
+                    outputs=_MODEL_OUTPUTS[model], master_seed=9, threads=t))
+                for t in (1, 3)]
+        assert runs[0] == runs[1]
 
 
 def test_result_structure_follows_the_spec():

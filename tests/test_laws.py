@@ -15,7 +15,7 @@ from rangelab.laws import (LatticeLaw, StableLaw, gaussian_limit,
                            pareto_tail, rademacher, sample_lattice,
                            sample_stable, simple_symmetric, stable_cf,
                            stable_index, ternary)
-from rangelab.laws import _distinct, _local_times, _pareto_magnitudes
+from rangelab.laws import _counts, _distinct, _local_times, _pareto_magnitudes
 from rangelab.oriented import _encode_sites
 from rangelab.rng import RngStream
 
@@ -234,6 +234,22 @@ def test_keyed_route_reproduces_the_scalar_seed_route():
     assert (both[1] == lattice_at_sites(law, 32, sites)).all()
 
 
+@pytest.mark.parametrize("law", [rademacher(), simple_symmetric(), ternary(0.3),
+                                 lazy_vertical(0.6), pareto_tail(0.7)])
+def test_keyed_route_and_decoder_dtypes_for_every_kind(law):
+    from rangelab.laws import lattice_at_keyed_sites
+    from rangelab.rng import mix64
+    # the two-point kinds read the sign off the top hash bit
+    sites = np.arange(-70_000, 70_000, 3)
+    direct = lattice_at_sites(law, 31, sites)
+    keyed = lattice_at_keyed_sites(law, mix64(31, 0), mix64(31, 1), sites)
+    assert np.array_equal(direct, keyed)
+    # the public samplers stay int64; the batch kernels get int8 where it fits
+    assert direct.dtype == np.int64
+    assert sample_lattice(law, RngStream(5, 0), size=10).dtype == np.int64
+    assert keyed.dtype == (np.int64 if law.kind == "pareto_tail" else np.int8)
+
+
 def test_lattice_at_sites_differs_across_seeds():
     sites = np.arange(1000)
     a = lattice_at_sites(rademacher(), 1, sites)
@@ -271,3 +287,5 @@ def test_distinct_and_local_times_equal_numpy_unique(a):
     assert v.dtype == np.int64 and np.array_equal(v, values)
     assert np.array_equal(c, counts)
     assert np.array_equal(inv, inverse.reshape(-1))
+    v, c = _counts(a)
+    assert np.array_equal(v, values) and np.array_equal(c, counts)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rangelab.laws import lattice_at_sites, rademacher
-from rangelab.rng import (RngStream, as_generator, derive_stream, mix64,
-                          site_hash, site_uniform)
+from rangelab.rng import (RngStream, _mix64_vec, _uniform_rows, as_generator,
+                          derive_stream, mix64, site_hash, site_uniform)
 
 # splitmix64 golden values; a change here would silently re-randomize
 # every experiment in the package, so they are pinned hard
@@ -43,6 +43,20 @@ def test_site_hash_scalar_matches_vector():
     vec = site_hash(123, sites, counter=7)
     for i, s in enumerate(sites):
         assert site_hash(123, [int(s)], counter=7)[0] == vec[i]
+        assert site_hash(123, int(s), counter=7) == vec[i] == mix64(123, 7, int(s))
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1),
+       st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1,
+                max_size=5))
+@settings(max_examples=50)
+def test_vector_mix64_and_stacked_streams_match_the_scalar_ones(seed, words):
+    arr = np.array(words, dtype=np.uint64)
+    mixed = _mix64_vec(seed, arr, 17)
+    assert [int(v) for v in mixed] == [mix64(seed, w, 17) for w in words]
+    rows = _uniform_rows(mixed, 9)
+    for row, s in zip(rows, mixed):
+        assert (row == RngStream(int(s), 0).generator().random(9)).all()
 
 
 def test_site_hash_golden():

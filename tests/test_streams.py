@@ -11,6 +11,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from rangelab.harness import _MODEL_OUTPUTS, ExperimentSpec, run_experiment
 from rangelab.laws import (lazy_vertical, pareto_tail, rademacher,
                            sample_lattice, simple_symmetric, ternary)
 from rangelab.oriented import (Environment, annealed_endpoints,
@@ -145,6 +146,59 @@ def no_return_z_count_parts():
     yield no_return_z_count(MODELS[0], 1000, 5000, 99)  # crosses a chunk
 
 
+def escape_count_parts():
+    # no_return_count at the extreme p values; no_return_z_count with a
+    # lazy walk under a pareto scenery.  The last two of each cross a chunk.
+    lazy_pareto = RwrsModel(lazy_vertical(0.3), pareto_tail(0.8))
+    for seed in SEEDS:
+        for horizon in (7, 64, 1000):
+            for p in (0.2, 0.83):
+                yield no_return_count(p, horizon, 300, seed)
+            yield no_return_z_count(lazy_pareto, horizon, 300, seed)
+    yield no_return_count(0.83, 64, 70_000, 99)
+    yield no_return_count(0.2, 1000, 5000, 99)
+    yield no_return_z_count(lazy_pareto, 64, 70_000, 99)
+    yield no_return_z_count(lazy_pareto, 1000, 5000, 99)
+
+
+WALK_PAIRS = ({"walk": "simple", "scenery": "rademacher"},
+              {"walk": "lazy:0.3", "scenery": "ternary:0.3"},
+              {"walk": "pareto:1.5", "scenery": "pareto:0.8"},
+              # numpy's power and Python's ** disagree in the last bit at
+              # some scenery indices, 1.5 among them, which vbeta would show
+              {"walk": "simple", "scenery": "pareto:1.5"})
+# (params, sizes, trials, horizon): horizon None, below n and above n;
+# 1, 7 and 1100 trials (1100 walks of 1000 steps leave a partial block of
+# 2^20 trial-steps); walks of 2^20 steps fill a block alone, longer ones
+# stream a single trial at a time
+HARNESS_RUNS = {
+    "oriented": [({"p": 0.5}, (1, 5, 300), 7, None),
+                 ({"p": 0.3}, (1, 5, 300), 1, 4),
+                 ({"p": 0.8}, (1000,), 1100, 10 ** 6),
+                 ({"p": 0.5}, (1 << 20, (1 << 20) + 1), 2, 100)],
+    "rwrs": [*((pair, (1, 5, 300), trials, horizon)
+               for pair in WALK_PAIRS
+               for trials, horizon in ((7, None), (1, 4), (7, 10 ** 6))),
+             (WALK_PAIRS[0], (1000,), 1100, 50),
+             (WALK_PAIRS[2], (1000,), 1100, None),
+             (WALK_PAIRS[3], (1000,), 1100, 10 ** 6),
+             (WALK_PAIRS[1], (1 << 20, (1 << 20) + 1), 1, 3),
+             (WALK_PAIRS[2], (1 << 20, (1 << 20) + 1), 1, None)],
+}
+
+
+def harness_parts(model):
+    for params, sizes, trials, horizon in HARNESS_RUNS[model]:
+        spec = ExperimentSpec(model=model, params=params, sizes=sizes,
+                              trials=trials, outputs=_MODEL_OUTPUTS[model],
+                              master_seed=trials + len(sizes), horizon=horizon)
+        for n, stats in run_experiment(spec).items():
+            for stat, st in stats.items():
+                # the exact sums as text: "p/q", or "p" when integral
+                line = f"{n} {stat} {st.count} {st.total} {st.total_sq}"
+                yield np.frombuffer(line.encode(), dtype=np.uint8)
+
+
 def sample_lattice_parts():
     for seed in SEEDS:
         for law in LAWS:
@@ -155,6 +209,15 @@ def sample_lattice_parts():
 
 
 CASES = {
+    "escape_counts": (
+        escape_count_parts,
+        "9f634e713f274a31052ea203d662562766ab15bba3fbb25762ec9fb1edbfd184"),
+    "harness_oriented": (
+        lambda: harness_parts("oriented"),
+        "8335676fc328677b6243b9399854559fc91f468c363f275a9f4e4faf13377e13"),
+    "harness_rwrs": (
+        lambda: harness_parts("rwrs"),
+        "2163cdd8aef45c26d57beea78babb943b0239d18b18667f944b0e015b9ba725d"),
     "annealed_endpoints": (
         annealed_endpoints_parts,
         "4e9ed89f180cf773802c3ffcdf5ce2cc3eb2598476387b30b8ae677e36bf7644"),
