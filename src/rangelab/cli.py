@@ -209,7 +209,7 @@ def _run_exact(args) -> int:
         for (x, y) in sorted(law):
             print(f"{x} {y} {law[(x, y)]:.15g}")
     elif args.table == "cp-escape":
-        _check_cap(args.L, oriented.ENUMERATION_CAP, "cp-escape")
+        _check_cap(args.L, oriented.ESCAPE_CAP, "cp-escape")
         q = oriented.exact_no_return_probability(args.p, args.L)
         print(f"{q:.15g}")
     elif args.table == "rwrs-law":

@@ -1,13 +1,13 @@
 """Exact small-horizon laws via dynamic programming over occupation profiles.
 
-Both exact oracles in this package reduce to the same computation: a
-walk on Z takes i.i.d. integer steps, certain steps mark a site, and the
+Both exact laws in this package reduce to the same computation: a walk
+on Z takes i.i.d. integer steps, certain steps mark a site, and the
 quantity of interest is a sum over sites of (i.i.d. site value) times
-(mark count at the site).  Conditionally on the path, that sum only
-depends on the multiset of positive mark counts, so paths can be merged
-by (position, mark profile) instead of enumerating all step sequences.
-The state space stays far below |support|^n, which is what makes
-horizons around 12-14 tractable.
+(mark count at the site).  Step sequences are merged breadth-first by
+(position, mark profile), and the profiles are then grouped by what the
+marked sum's law depends on: the position and the multiset of positive
+mark counts.  Only one convolution with the site values runs per group
+(at horizon 12, 510 groups for the oriented walk's 20,927 profiles).
 
 Probabilities are float64 throughout; the DP performs only additions
 and multiplications of nonnegative numbers, so the total mass stays
@@ -22,44 +22,40 @@ from functools import lru_cache
 
 def profile_states(steps: tuple[tuple[int, float], ...], n: int,
                    mark_moves: bool) -> dict:
-    """Distribution of (position, profile) after n steps.
+    """Distribution of (position, lo, counts) after n steps.
 
     steps        -- ((delta, probability), ...) of one walk step
     mark_moves   -- True marks the arrival site of every step; False
                     marks only holds (delta == 0), which is the lazy
                     walk whose holds carry the horizontal displacement
 
-    The profile is a tuple of (site, count) pairs sorted by site, with
-    counts > 0 only.
+    counts[i] is the mark count at site lo + i, over the smallest
+    interval that holds every marked site; (0, ()) before the first mark.
     """
-    states: dict = {(0, ()): 1.0}
+    states: dict = {(0, 0, ()): 1.0}
     for _ in range(n):
         nxt: dict = defaultdict(float)
-        for (pos, prof), w in states.items():
+        for (pos, lo, counts), w in states.items():
             for delta, q in steps:
-                pos2 = pos + delta
+                site = pos + delta
                 if mark_moves or delta == 0:
-                    prof2 = _bump(prof, pos2)
+                    nxt[(site, *_mark(lo, counts, site))] += w * q
                 else:
-                    prof2 = prof
-                nxt[(pos2, prof2)] += w * q
-        states = dict(nxt)
-    return states
+                    nxt[(site, lo, counts)] += w * q
+        states = nxt
+    return dict(states)
 
 
-def _bump(prof: tuple, site: int) -> tuple:
-    out = []
-    placed = False
-    for s, c in prof:
-        if s == site:
-            out.append((s, c + 1))
-            placed = True
-        else:
-            out.append((s, c))
-    if not placed:
-        out.append((site, 1))
-        out.sort()
-    return tuple(out)
+def _mark(lo: int, counts: tuple, site: int) -> tuple:
+    """(lo, counts) with one more mark at site."""
+    i = site - lo
+    if not counts:
+        return site, (1,)
+    if i < 0:
+        return site, (1,) + (0,) * (-1 - i) + counts
+    if i >= len(counts):
+        return lo, counts + (0,) * (i - len(counts)) + (1,)
+    return lo, counts[:i] + (counts[i] + 1,) + counts[i + 1:]
 
 
 def value_distribution(counts: tuple[int, ...],
@@ -91,9 +87,11 @@ def marked_sum_law(steps, n: int, mark_moves: bool,
     """
     steps = tuple(steps)
     site_values = tuple(site_values)
+    groups: dict = defaultdict(float)
+    for (pos, _, counts), w in profile_states(steps, n, mark_moves).items():
+        groups[(pos, tuple(sorted(c for c in counts if c)))] += w
     out: dict = defaultdict(float)
-    for (pos, prof), w in profile_states(steps, n, mark_moves).items():
-        counts = tuple(sorted(c for _, c in prof))
+    for (pos, counts), w in groups.items():
         for val, q in value_distribution(counts, site_values).items():
             out[(val, pos)] += w * q
     return dict(out)

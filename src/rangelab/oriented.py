@@ -18,18 +18,22 @@ the batch endpoint samplers of both routes share one batch loop.  Both
 routes must agree in law with the exact enumeration oracle, which is the
 strongest correctness check in the test suite.
 
-Horizons up to 14 admit exact computation by merging step sequences
-that share the same per-row displacement profile; see enumeration.py.
+The exact oracles merge step sequences by state instead of enumerating
+them: by per-row displacement profile for the endpoint law (horizons up
+to 14, see enumeration.py), by surviving orientations for no-return
+(up to 16).
 """
 
 from __future__ import annotations
 
+from bisect import bisect
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .enumeration import marked_sum_law, profile_states, value_distribution
+from .enumeration import marked_sum_law
 from .laws import (_distinct, _keyed_signs, _lattice_blocks, _local_times,
                    _merge_distinct, _row_blocks, _values_from_uniforms,
                    lattice_at_sites, lazy_vertical, rademacher)
@@ -38,7 +42,8 @@ from .rng import (RngStream, _mix64_vec, _uniform_rows, derive_stream, mix64,
 
 H, UP, DOWN = 0, 1, 2  # step-type codes: horizontal, vertical up, vertical down
 
-ENUMERATION_CAP = 14
+ENUMERATION_CAP = 14  # endpoint laws (cp-law)
+ESCAPE_CAP = 16       # no-return probabilities (cp-escape)
 
 # sub-seed tags, one per independent noise source
 _ENV_TAG = 201
@@ -365,9 +370,7 @@ def _lazy_steps(p: float) -> tuple:
 
 @lru_cache(maxsize=64)
 def _exact_law_cached(p: float, n: int) -> dict:
-    signs = ((-1, 0.5), (1, 0.5))
-    return {(x, y): w
-            for (x, y), w in marked_sum_law(_lazy_steps(p), n, False, signs).items()}
+    return marked_sum_law(_lazy_steps(p), n, False, ((-1, 0.5), (1, 0.5)))
 
 
 def exact_annealed_law(p: float, n: int) -> dict:
@@ -388,72 +391,69 @@ def exact_return_probability(p: float, n: int) -> float:
     _check_p(p)
     if not 0 <= n <= ENUMERATION_CAP:
         raise ValueError(f"exact law limited to horizons 0..{ENUMERATION_CAP}")
-    total = 0.0
-    for (ypos, prof), w in profile_states(_lazy_steps(p), n, False).items():
-        if ypos != 0:
-            continue
-        counts = tuple(sorted(c for _, c in prof))
-        total += w * value_distribution(counts, ((-1, 0.5), (1, 0.5))).get(0, 0.0)
-    return total
+    return _exact_law_cached(p, n).get((0, 0), 0.0)
 
 
 def exact_no_return_probability(p: float, horizon: int) -> float:
     """Exact P(walk avoids the origin at every time 1..horizon).
 
-    Depth-first search over step-type sequences, carrying the set of row
-    orientation assignments that keep every origin-row visit away from
-    x = 0.  Assignments are encoded as sign bitmasks over the rows that
-    have taken a horizontal step, with the current first coordinate
-    maintained incrementally per assignment.  Subtrees whose assignment
-    set empties are pruned: every orientation choice there has already
-    returned.  Work grows like 3^horizon; horizons up to 12 run in
-    seconds, the cap of 14 in minutes.
+    Breadth-first DP over step-type sequences, merged by state: the row
+    y, the sorted rows that have hosted a horizontal step, and the set
+    of surviving (mask, x) pairs.  A mask assigns an orientation bit to
+    each hosting row (bit i to the i-th smallest row) and has
+    probability 2^-#rows; x is the first coordinate under it, and a pair
+    drops out when its walk returns to the origin.  A state carries the
+    summed probability of the sequences that reach it.  Reach pruning: a
+    pair with |x| + |y| above the steps left cannot come back, so its
+    share is counted at once and the pair dropped.  Horizons up to
+    ESCAPE_CAP = 16 take about a second.
     """
     _check_p(p)
-    if not 1 <= horizon <= ENUMERATION_CAP:
-        raise ValueError(f"exact no-return limited to horizons 1..{ENUMERATION_CAP}")
-    ph = p
+    if not 1 <= horizon <= ESCAPE_CAP:
+        raise ValueError(f"exact no-return limited to horizons 1..{ESCAPE_CAP}")
     pv = (1.0 - p) / 2.0
     total = 0.0
-
-    def descend(k, y, active, masks, xs, w):
-        nonlocal total
-        if k == horizon:
-            total += w * len(masks) * 2.0 ** (-len(active))
-            return
-        # horizontal step on the current row
-        i = active.get(y)
-        if i is None:
-            bit = 1 << len(active)
-            nm = [m | b for m in masks for b in (bit, 0)]
-            nx = [v + d for v in xs for d in (1, -1)]
-            act = {**active, y: len(active)}
-        else:
-            nm = masks
-            nx = [v + 1 if (m >> i) & 1 else v - 1 for m, v in zip(masks, xs)]
-            act = active
-        if y == 0:
-            kept = [(m, v) for m, v in zip(nm, nx) if v != 0]
-            if kept:
-                nm = [m for m, _ in kept]
-                nx = [v for _, v in kept]
+    states = {(0, (), frozenset({(0, 0)})): 1.0}
+    for left in range(horizon - 1, -1, -1):
+        nxt: dict = defaultdict(float)
+        for (y, rows, pairs), w in states.items():
+            if y in rows:
+                bit = 1 << rows.index(y)
+                moved = [(m, x + 1 if m & bit else x - 1) for m, x in pairs]
+                hosts = rows
             else:
-                nm = []
-        if nm:
-            descend(k + 1, y, act, nm, nx, w * ph)
-        # vertical steps
-        for dy in (1, -1):
-            y2 = y + dy
-            if y2 != 0:
-                descend(k + 1, y2, active, masks, xs, w * pv)
-            else:
-                kept = [(m, v) for m, v in zip(masks, xs) if v != 0]
-                if kept:
-                    descend(k + 1, 0, active,
-                            [m for m, _ in kept], [v for _, v in kept], w * pv)
-
-    descend(0, 0, {}, [0], [0], 1.0)
+                # row y joins the hosts as the j-th smallest: the bits of
+                # the rows above it move up one, and each pair splits on
+                # row y's sign
+                j = bisect(rows, y)
+                low = (1 << j) - 1
+                moved = []
+                for m, x in pairs:
+                    m = (m & low) | ((m & ~low) << 1)
+                    moved += ((m | (1 << j), x + 1), (m, x - 1))
+                hosts = rows[:j] + (y,) + rows[j:]
+            total += _settle(nxt, y, hosts, moved, w * p, left)
+            total += _settle(nxt, y + 1, rows, pairs, w * pv, left)
+            total += _settle(nxt, y - 1, rows, pairs, w * pv, left)
+        states = nxt
     return total
+
+
+def _settle(states: dict, y: int, rows: tuple, pairs, w: float, left: int) -> float:
+    """Add the state (y, rows, pairs) with weight w to states, less the
+    pairs at the origin (returned) and those out of reach of it with
+    left steps to go; returns the probability of the latter."""
+    kept = []
+    gone = 0
+    for m, x in pairs:
+        d = abs(x) + abs(y)
+        if d > left:
+            gone += 1
+        elif d:
+            kept.append((m, x))
+    if kept:
+        states[(y, rows, frozenset(kept))] += w
+    return w * gone / (1 << len(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,13 @@ def test_exact_escape_value(capsys):
     assert float(capsys.readouterr().out) == 1.0
 
 
+def test_exact_escape_cap(capsys):
+    assert run_cli("exact", "cp-escape", "--p", "0.5", "--L", "17") == 3
+    assert capsys.readouterr().out == ""
+    assert run_cli("exact", "cp-escape", "--p", "0.5", "--L", "16") == 0
+    assert 0.0 < float(capsys.readouterr().out) <= 1.0
+
+
 def test_exact_scenery_sum_table(capsys):
     assert run_cli("exact", "rwrs-law", "--n", "0") == 0
     assert capsys.readouterr().out.strip().splitlines() == \

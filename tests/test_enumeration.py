@@ -54,7 +54,7 @@ def test_dp_agrees_with_brute_force(steps, mark_moves, values, n):
 
 
 def test_zero_steps_is_a_point_mass():
-    assert profile_states(LAZY, 0, False) == {(0, ()): 1.0}
+    assert profile_states(LAZY, 0, False) == {(0, 0, ()): 1.0}
     assert marked_sum_law(SIMPLE, 0, True, SIGNS) == {(0, 0): 1.0}
 
 
@@ -63,14 +63,48 @@ def test_zero_steps_is_a_point_mass():
 def test_profile_mass_and_structure(n, mark_moves):
     states = profile_states(LAZY, n, mark_moves)
     assert sum(states.values()) == pytest.approx(1.0)
-    for (pos, prof), w in states.items():
+    for (pos, lo, counts), w in states.items():
         assert w > 0
-        sites = [s for s, _ in prof]
-        assert sites == sorted(sites)
-        assert all(c >= 1 for _, c in prof)
+        assert all(c >= 0 for c in counts)
+        # the interval is the hull of the marked sites
+        assert counts == () and lo == 0 or counts[0] >= 1 and counts[-1] >= 1
         if mark_moves:
             # every step marks its arrival site
-            assert sum(c for _, c in prof) == n
+            assert sum(counts) == n
+
+
+def brute_profiles(steps, n, mark_moves):
+    """Every step sequence's (position, {site: marks}) with its weight."""
+    out = defaultdict(float)
+    for seq in itertools.product(steps, repeat=n):
+        w = 1.0
+        pos = 0
+        marks = defaultdict(int)
+        for delta, q in seq:
+            w *= q
+            pos += delta
+            if mark_moves or delta == 0:
+                marks[pos] += 1
+        out[(pos, tuple(sorted(marks.items())))] += w
+    return out
+
+
+JUMPY = ((2, 0.3), (-1, 0.3), (0, 0.4))  # leaves unmarked sites inside the hull
+
+
+@pytest.mark.parametrize("steps", [LAZY, JUMPY])
+@pytest.mark.parametrize("mark_moves", [False, True])
+def test_profiles_match_brute_force_marks(steps, mark_moves):
+    n = 6
+    got = defaultdict(float)
+    for (pos, lo, counts), w in profile_states(steps, n, mark_moves).items():
+        got[(pos, tuple((lo + i, c) for i, c in enumerate(counts) if c))] += w
+    want = brute_profiles(steps, n, mark_moves)
+    # one state per (position, marks): the hull form is canonical
+    assert len(got) == len(profile_states(steps, n, mark_moves))
+    assert set(got) == set(want)
+    for key in want:
+        assert got[key] == pytest.approx(want[key], rel=1e-12)
 
 
 def test_value_distribution_convolves():

@@ -15,7 +15,8 @@ from rangelab.laws import (LatticeLaw, StableLaw, gaussian_limit,
                            pareto_tail, rademacher, sample_lattice,
                            sample_stable, simple_symmetric, stable_cf,
                            stable_index, ternary)
-from rangelab.laws import _counts, _distinct, _local_times, _pareto_magnitudes
+from rangelab.laws import (_counts, _distinct, _local_times, _pareto_magnitudes,
+                           _values_from_uniforms)
 from rangelab.oriented import _encode_sites
 from rangelab.rng import RngStream
 
@@ -186,6 +187,27 @@ def test_sampler_matches_pmf(law):
     expected = np.array([lattice_pmf(law, int(v)) for v in values]) * n
     assert expected.sum() == pytest.approx(n)  # support fully covered
     assert chisquare(counts, expected).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("law", [rademacher(), simple_symmetric(), ternary(0.3),
+                                 lazy_vertical(0.6)])
+def test_decoder_cuts_belong_to_the_upper_value(law):
+    # a uniform exactly at a cut of the inverse CDF decodes to the value
+    # above the cut: two-point laws cut at 1/2 (-1 | +1), the ternary
+    # kinds at zm and zm + (1 - zm)/2 (0 | +1 | -1)
+    if law.kind in ("rademacher", "simple_symmetric"):
+        cuts, values = [0.5], [-1, 1]
+    else:
+        zm = law.zero_mass
+        cuts, values = [zm, zm + (1.0 - zm) / 2.0], [0, 1, -1]
+    u = [0.0]
+    want = [values[0]]
+    for cut, value, below in zip(cuts, values[1:], values):
+        u += [np.nextafter(cut, 0.0), cut]
+        want += [below, value]
+    u.append(np.nextafter(1.0, 0.0))
+    want.append(values[-1])
+    assert _values_from_uniforms(law, np.array(u), None).tolist() == want
 
 
 def test_pareto_sampler_matches_pmf_with_tail_bucket():

@@ -1,12 +1,16 @@
 """Oriented-lattice walk: simulators vs exact enumeration, path identities."""
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from rangelab.oriented import (DOWN, H, UP, Environment, LatticePath,
+from rangelab.oriented import (DOWN, ESCAPE_CAP, H, UP, Environment,
+                               LatticePath,
                                annealed_endpoints, annealed_environment,
                                annealed_range_stats, exact_annealed_law,
                                exact_no_return_probability,
@@ -111,6 +115,100 @@ def test_no_return_values_and_monotonicity():
     assert all(a >= b - 1e-12 for a, b in zip(qs, qs[1:]))
 
 
+def fraction_no_return(p, horizon):
+    """P(no return to the origin at times 1..horizon) in exact rationals.
+
+    Depth-first search over step-type sequences, carrying the sign
+    bitmasks of the rows that have hosted a horizontal step (bit i for
+    the i-th row to host one) and the first coordinate under each.
+    """
+    pv = (1 - p) / 2
+    total = Fraction(0)
+
+    def descend(k, y, active, masks, xs, w):
+        nonlocal total
+        if k == horizon:
+            total += w * len(masks) / 2 ** len(active)
+            return
+        i = active.get(y)
+        if i is None:
+            bit = 1 << len(active)
+            nm = [m | b for m in masks for b in (bit, 0)]
+            nx = [v + d for v in xs for d in (1, -1)]
+            act = {**active, y: len(active)}
+        else:
+            nm = masks
+            nx = [v + 1 if (m >> i) & 1 else v - 1 for m, v in zip(masks, xs)]
+            act = active
+        if y == 0:
+            kept = [(m, v) for m, v in zip(nm, nx) if v != 0]
+            nm = [m for m, _ in kept]
+            nx = [v for _, v in kept]
+        if nm:
+            descend(k + 1, y, act, nm, nx, w * p)
+        for y2 in (y + 1, y - 1):
+            kept = [(m, v) for m, v in zip(masks, xs) if y2 != 0 or v != 0]
+            if kept:
+                descend(k + 1, y2, active, [m for m, _ in kept],
+                        [v for _, v in kept], w * pv)
+
+    descend(0, 0, {}, [0], [0], Fraction(1))
+    return total
+
+
+# q_L at p = 1/2, L = 1..12, from fraction_no_return
+Q_HALF = tuple(Fraction(a, b) for a, b in (
+    (1, 1), (7, 8), (7, 8), (107, 128), (107, 128), (415, 512), (415, 512),
+    (25955, 32768), (25955, 32768), (101955, 131072), (101955, 131072),
+    (3214703, 4194304)))
+
+
+@pytest.mark.parametrize("p", [0.2, 0.37, 0.73])
+def test_no_return_matches_exact_rationals(p):
+    # the rationals take the float p as it is, so only the DP's own
+    # rounding separates the two
+    for L in range(1, 10):
+        want = fraction_no_return(Fraction(p), L)
+        got = exact_no_return_probability(p, L)
+        assert abs(Fraction(got) - want) <= Fraction(1, 10 ** 13) * want
+
+
+def test_no_return_at_one_half_is_exact():
+    for L in range(1, 8):
+        assert fraction_no_return(Fraction(1, 2), L) == Q_HALF[L - 1]
+    qs = [exact_no_return_probability(0.5, L) for L in range(1, 13)]
+    assert [Fraction(q) for q in qs] == list(Q_HALF)
+    # no return is possible at an odd time
+    assert all(qs[2 * k] == qs[2 * k - 1] for k in range(1, 6))
+
+
+def test_mean_range_is_one_plus_the_escape_curve():
+    # E[R_n] = 1 + sum_{k=1..n} q_k holds for a walk with stationary,
+    # reversible increments; brute force over every step-type sequence of
+    # length 7 and every sign of its hosting rows gives E[R_n], n = 1..7,
+    # from the sequences' prefixes
+    p, n = 0.3, 7
+    pv = (1 - p) / 2
+    mean = [0.0] * (n + 1)
+    for labels in itertools.product((H, UP, DOWN), repeat=n):
+        ys = [0]
+        for t in labels:
+            ys.append(ys[-1] + (t == UP) - (t == DOWN))
+        hosts = sorted({y for y, t in zip(ys, labels) if t == H})
+        w = p ** labels.count(H) * pv ** (n - labels.count(H)) / 2 ** len(hosts)
+        for signs in itertools.product((-1, 1), repeat=len(hosts)):
+            eps = dict(zip(hosts, signs))
+            x = 0
+            seen = {(0, 0)}
+            for k, (y, t) in enumerate(zip(ys, labels), start=1):
+                x += eps[y] if t == H else 0
+                seen.add((x, ys[k]))
+                mean[k] += w * len(seen)
+    for k in range(1, n + 1):
+        want = 1.0 + sum(exact_no_return_probability(p, j) for j in range(1, k + 1))
+        assert mean[k] == pytest.approx(want, rel=1e-12)
+
+
 def test_return_probability_parity_and_decay():
     assert exact_return_probability(0.5, 3) == 0.0
     assert exact_return_probability(0.5, 5) == 0.0
@@ -130,6 +228,8 @@ def test_caps_and_validation():
         exact_annealed_law(0.5, 15)
     with pytest.raises(ValueError):
         exact_no_return_probability(0.5, 0)
+    with pytest.raises(ValueError):
+        exact_no_return_probability(0.5, ESCAPE_CAP + 1)
     with pytest.raises(ValueError):
         simulate_annealed(0.0, 5, 1)
     with pytest.raises(ValueError):
