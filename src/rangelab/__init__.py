@@ -13,170 +13,6 @@ Submodules:
     cli          command-line front end
 """
 
-from .harness import (
-    ConfigError,
-    ConvergenceReport,
-    ExperimentSpec,
-    ResourceCapError,
-    ScalingFit,
-    TrialStats,
-    convergence_diagnostic,
-    estimate_escape,
-    expected_exponent,
-    parse_lattice_law,
-    run_experiment,
-    scaling_fit,
-)
-from .laws import (
-    LatticeLaw,
-    StableLaw,
-    gaussian_limit,
-    lattice_at_sites,
-    lattice_pmf,
-    lattice_support,
-    lattice_tail,
-    lattice_variance,
-    lazy_vertical,
-    pareto_tail,
-    rademacher,
-    sample_lattice,
-    sample_stable,
-    simple_symmetric,
-    stable_cf,
-    stable_index,
-    ternary,
-)
-from .limit import (
-    LimitGrid,
-    PathFunctionals,
-    build_limit_grid,
-    estimate_local_time,
-    first_coordinate_scale,
-    integrate_field,
-    path_functionals,
-    sample_scenery_integral,
-    sample_stable_path,
-)
-from .oriented import (
-    Environment,
-    LatticePath,
-    WalkSummary,
-    annealed_endpoints,
-    annealed_environment,
-    annealed_range_stats,
-    exact_annealed_law,
-    exact_no_return_probability,
-    exact_return_probability,
-    first_coordinate_decomposition,
-    first_coordinate_spread,
-    horizontal_local_time,
-    no_return_count,
-    range_first_coordinate,
-    range_sites,
-    simulate_annealed,
-    simulate_quenched,
-    skew_product_endpoints,
-    skew_product_path,
-    validate_path,
-)
-from .rng import RngStream, derive_stream, mix64
-from .rwrs import (
-    LocalTimeMap,
-    RwrsModel,
-    ScenerySummary,
-    ZPath,
-    exact_no_return_z,
-    exact_rwrs_law,
-    no_return_z_count,
-    range_z,
-    rwrs_range_stats,
-    scaling_exponent,
-    scaling_normalizer,
-    self_intersections,
-    simulate_rwrs,
-    v_beta,
-    z_self_intersections,
-    z_spread,
-)
+from . import cli, enumeration, harness, laws, limit, oriented, rng, rwrs
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConfigError",
-    "ConvergenceReport",
-    "Environment",
-    "ExperimentSpec",
-    "LatticeLaw",
-    "LatticePath",
-    "LimitGrid",
-    "LocalTimeMap",
-    "PathFunctionals",
-    "ResourceCapError",
-    "RngStream",
-    "RwrsModel",
-    "ScalingFit",
-    "ScenerySummary",
-    "StableLaw",
-    "TrialStats",
-    "WalkSummary",
-    "ZPath",
-    "annealed_endpoints",
-    "annealed_environment",
-    "annealed_range_stats",
-    "build_limit_grid",
-    "convergence_diagnostic",
-    "derive_stream",
-    "estimate_escape",
-    "estimate_local_time",
-    "exact_annealed_law",
-    "exact_no_return_probability",
-    "exact_no_return_z",
-    "exact_return_probability",
-    "exact_rwrs_law",
-    "expected_exponent",
-    "first_coordinate_decomposition",
-    "first_coordinate_scale",
-    "first_coordinate_spread",
-    "gaussian_limit",
-    "horizontal_local_time",
-    "integrate_field",
-    "lattice_at_sites",
-    "lattice_pmf",
-    "lattice_support",
-    "lattice_tail",
-    "lattice_variance",
-    "lazy_vertical",
-    "mix64",
-    "no_return_count",
-    "no_return_z_count",
-    "pareto_tail",
-    "parse_lattice_law",
-    "path_functionals",
-    "rademacher",
-    "range_first_coordinate",
-    "range_sites",
-    "range_z",
-    "run_experiment",
-    "rwrs_range_stats",
-    "sample_lattice",
-    "sample_scenery_integral",
-    "sample_stable",
-    "sample_stable_path",
-    "scaling_exponent",
-    "scaling_fit",
-    "scaling_normalizer",
-    "self_intersections",
-    "simple_symmetric",
-    "simulate_annealed",
-    "simulate_quenched",
-    "simulate_rwrs",
-    "skew_product_endpoints",
-    "skew_product_path",
-    "stable_cf",
-    "stable_index",
-    "ternary",
-    "v_beta",
-    "validate_path",
-    "z_self_intersections",
-    "z_spread",
-]

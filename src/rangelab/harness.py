@@ -3,13 +3,15 @@ deterministic parallel trials, scaling fits and convergence diagnostics.
 
 Determinism contract: trial i of size n draws from the stream
 (mix of master seed and n, i), so results are a pure function of the
-experiment spec.  Walk trials run in blocks of consecutive trials, one
-row of at most 2^20 steps per trial: each row draws from its own trial's
-stream and reads its own hashed field, and only the work after the draws
-is batched.  Blocks may be executed by any number of workers in any
-order; per-trial outputs land in trial-indexed slots, and TrialStats
-sums integral values as Python ints and the others as Fractions, so the
-merge is associative and commutative not just in theory but bit for bit.
+experiment spec.  Walk trials run through their model's trial kernel in
+blocks of consecutive trials, one row per trial and at most 2^20
+trial-steps at a time (a longer walk is a row of its own, streamed in
+column chunks): each row draws from its own trial's stream and reads its
+own hashed field, and only the work after the draws is batched.  Blocks
+may be executed by any number of workers in any order; per-trial outputs
+land in trial-indexed slots, and TrialStats sums integral values as
+Python ints and the others as Fractions, so the merge is associative and
+commutative not just in theory but bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from scipy.stats import norm
 
 from . import limit, oriented, rwrs
-from .laws import StableLaw
+from .laws import _BLOCK_STEPS, StableLaw
 from .rng import RngStream, _mix64_vec, mix64
 
 MAX_TOTAL_STEPS = 20_000_000_000
@@ -32,8 +34,6 @@ MAX_TOTAL_STEPS = 20_000_000_000
 MAX_TRIAL_STEPS = 30_000_000
 
 _SIZE_TAG = 401
-# Walk trials run in blocks of at most this many trial-steps, one row per trial
-_TRIAL_BLOCK = 1 << 20
 
 
 class ConfigError(ValueError):
@@ -229,13 +229,8 @@ def _build_trial_fn(model: str, params: dict):
             raise ConfigError(f"p must lie in (0, 1), got {p}")
 
         def run(n, seeds, outputs, horizon):
-            if n > _TRIAL_BLOCK:
-                sites, x_min, x_max, first_return = _streamed(
-                    [oriented.annealed_range_stats(p, n, int(seed)) for seed in seeds],
-                    ("sites", "x_min", "x_max", "first_return"))
-            else:
-                sites, x_min, x_max, first_return = oriented._trial_block(
-                    p, n, seeds, "range" in outputs)
+            sites, x_min, x_max, _, _, first_return = oriented._trial_block(
+                p, n, seeds, "range" in outputs, _BLOCK_STEPS)
             return {"range": sites, "first_range": x_max - x_min + 1,
                     "first_spread": x_max - x_min,
                     "escape": _escapes(first_return, horizon or n)}
@@ -252,14 +247,8 @@ def _build_trial_fn(model: str, params: dict):
             raise ConfigError(f"bad walk/scenery pair: {exc}") from exc
 
         def run(n, seeds, outputs, horizon):
-            if n > _TRIAL_BLOCK:
-                block = _streamed(
-                    [rwrs.rwrs_range_stats(model_obj, n, int(seed)) for seed in seeds],
-                    ("z_min", "z_max", "distinct_z", "self_intersections",
-                     "vbeta", "zv", "first_return"))
-            else:
-                block = rwrs._trial_block(model_obj, n, seeds)
-            z_min, z_max, distinct_z, vn, vbeta, zv, first_return = block
+            z_min, z_max, _, distinct_z, vn, vbeta, zv, first_return = \
+                rwrs._trial_block(model_obj, n, seeds, _BLOCK_STEPS)
             return {"zrange": distinct_z, "zspread": z_max - z_min, "vn": vn,
                     "vbeta": vbeta, "zv": zv,
                     "escape": _escapes(first_return, horizon or n)}
@@ -305,12 +294,6 @@ def _build_trial_fn(model: str, params: dict):
     return run
 
 
-def _streamed(summaries, fields):
-    # streamed trials' summaries as a block reducer returns them: one array
-    # per field
-    return [np.array([getattr(s, f) for s in summaries]) for f in fields]
-
-
 def _escapes(first_return, horizon):
     # 1 for a walk that has not come back by the horizon
     return np.where((first_return > 0) & (first_return <= horizon), 0, 1)
@@ -327,14 +310,14 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     regardless of worker count or completion order, and per-trial values
     land in trial-indexed slots before reduction, so two runs of the
     same spec agree exactly.  Walk trials run as blocks of consecutive
-    trials, at most _TRIAL_BLOCK steps in all; a longer walk streams on
-    its own, and limit trials run one at a time.
+    trials, at most _BLOCK_STEPS trial-steps in all or a single longer
+    walk, and limit trials run one at a time.
     """
     trial_fn = _build_trial_fn(spec.model, dict(spec.params))
     results: dict = {}
     for n in spec.sizes:
         size_seed = mix64(spec.master_seed, _SIZE_TAG, n)
-        rows = 1 if spec.model == "limit" else max(1, _TRIAL_BLOCK // n)
+        rows = 1 if spec.model == "limit" else max(1, _BLOCK_STEPS // n)
         slots = {stat: np.empty(spec.trials) for stat in spec.outputs}
 
         def block(i0: int) -> None:
@@ -484,7 +467,9 @@ def expected_exponent(model: str, stat: str, params: dict) -> float | None:
                            parse_lattice_law(params["scenery"]))
         a, b = m.alpha, m.beta
         if stat in ("zrange", "zspread"):
-            return rwrs.scaling_exponent(a, b) if a > 1.0 else 1.0 / b
+            grow = rwrs.scaling_exponent(a, b) if a > 1.0 else 1.0 / b
+            # a range holds at most n + 1 values
+            return min(1.0, grow) if stat == "zrange" else grow
         if stat == "vn":
             return 2.0 - 1.0 / a if a >= 1.0 else 1.0
         if stat == "escape":

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
 
-from .rng import _finalize_vec, as_generator, keyed_uniform, site_uniform
+from .rng import RngStream, _finalize_vec, as_generator, keyed_uniform, site_uniform
 
 # ---------------------------------------------------------------------------
 # stable laws
@@ -352,16 +352,31 @@ def _lattice_blocks(law: LatticeLaw, rng, n: int, chunk: int):
 # draws the batch kernels decode and walk at a time, so that a block's
 # arrays stay in cache
 _BATCH_STEPS = 1 << 15
+# trial-steps a trial kernel holds at a time: a block of rows (trials)
+# times a column chunk of their steps
+_BLOCK_STEPS = 1 << 20
 
 
-def _row_blocks(law: LatticeLaw, rng, rows: int, n: int):
-    """Yield (r, steps) for the rows r.. of a (rows x n) array of draws from
-    law, a few rows at a time: the array is sample_lattice(law, rng,
-    rows * n) laid out one row of n draws per trial."""
+def _positions(steps: np.ndarray, start) -> np.ndarray:
+    """Positions after each step of walks from rows of integer steps,
+    starting at start (one per row, or 0), as int64."""
+    # widening first and summing in place beats cumsum's int8-to-int64 loop
+    pos = steps.astype(np.int64)
+    pos[:, 0] += start
+    return np.cumsum(pos, axis=1, out=pos)
+
+
+def _row_blocks(law: LatticeLaw, base: int, trials: int, n: int, chunk: int):
+    """Yield (ids, steps) for consecutive blocks of trials, a few at a time:
+    the trials' indices and one row of n draws from law per trial.  The m
+    trials of chunk c (chunk at a time) draw sample_lattice(law,
+    RngStream(base, c), m * n), laid out one row of n draws per trial."""
     per = max(1, _BATCH_STEPS // n)
-    for r, steps in zip(range(0, rows, per),
-                        _lattice_blocks(law, rng, rows * n, per * n)):
-        yield r, steps.reshape(-1, n)
+    for c0 in range(0, trials, chunk):
+        m = min(chunk, trials - c0)
+        for r, steps in zip(range(c0, c0 + m, per), _lattice_blocks(
+                law, RngStream(base, c0 // chunk), m * n, per * n)):
+            yield np.arange(r, r + len(steps) // n), steps.reshape(-1, n)
 
 
 def lattice_at_sites(law: LatticeLaw, seed: int, sites) -> np.ndarray:
@@ -413,10 +428,11 @@ def _offset_counts(a: np.ndarray):
 
 
 def _first_of_runs(s: np.ndarray) -> np.ndarray:
-    # True at the first element of each run of equal values in sorted s
-    keep = np.empty(s.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    # True at the first element of each run of equal values along the last
+    # axis of s, sorted along it
+    keep = np.empty(s.shape, dtype=bool)
+    keep[..., :1] = True
+    np.not_equal(s[..., 1:], s[..., :-1], out=keep[..., 1:])
     return keep
 
 
@@ -433,37 +449,58 @@ def _distinct(a) -> np.ndarray:
 
 def _counts(a):
     """Distinct values and their counts: _local_times without the inverse."""
-    a = np.asarray(a, dtype=np.int64).ravel()
-    narrow = _offset_counts(a)
-    if narrow is not None:
-        lo, _, cnt = narrow
-        present = np.flatnonzero(cnt)
-        return present + lo, cnt[present]
-    s = np.sort(a)
-    starts = np.flatnonzero(_first_of_runs(s))
-    return s[starts], np.diff(starts, append=s.size)
+    return _local_times(a)[:2]
 
 
-def _merge_distinct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sorted distinct union of two sorted int64 arrays.
+def _row_counts(a: np.ndarray, carry=None, counts: bool = True):
+    """Merge the rows of the 2-D int64 array a into carry, one multiset of
+    integers per row, as the walk kernels count sites chunk by chunk.
 
-    The stable sort (timsort for int64) detects the two sorted runs and
-    merges them in linear time.
+    A multiset is (values, weights, first): values sorted along each row,
+    the count of each entry (None when each counts once, or when counts
+    is False and none are kept) and True at the first entry of each run
+    of equal values.  a is sorted in place and, without a carry (None or
+    with no entries), becomes values; with one, both sides are packed to
+    one entry per distinct value before they merge.
     """
-    s = np.sort(np.concatenate([a, b]), kind="stable")
-    return s[_first_of_runs(s)]
+    a.sort(axis=1)
+    merged = (a, None, _first_of_runs(a))
+    if carry is not None and carry[0].size:
+        (v0, c0), (v1, c1) = _packed(*carry, counts), _packed(*merged, counts)
+        values = np.concatenate([v0, v1], axis=1)
+        weights = None
+        # two sorted runs per row, which a stable sort (timsort) merges in
+        # linear time
+        if counts:
+            order = np.argsort(values, axis=1, kind="stable")
+            values = np.take_along_axis(values, order, axis=1)
+            weights = np.take_along_axis(np.concatenate([c0, c1], axis=1), order,
+                                         axis=1)
+        else:
+            values.sort(axis=1, kind="stable")
+        merged = (values, weights, _first_of_runs(values))
+    return merged
 
 
-def _merge_local_times(a: np.ndarray, ca: np.ndarray, b: np.ndarray,
-                       cb: np.ndarray):
-    """Sorted distinct union of two sorted int64 arrays a and b, with their
-    values' counts ca and cb added up."""
-    if a.size == 0:
-        return b, cb
-    order = np.argsort(np.concatenate([a, b]), kind="stable")
-    s = np.concatenate([a, b])[order]
-    starts = np.flatnonzero(_first_of_runs(s))
-    return s[starts], np.add.reduceat(np.concatenate([ca, cb])[order], starts)
+def _run_counts(weights, first):
+    """Each row's counts of distinct values in a _row_counts multiset, row
+    after row, and how many distinct values each row has."""
+    starts = np.flatnonzero(first)
+    counts = (np.diff(starts, append=first.size) if weights is None
+              else np.add.reduceat(weights.ravel(), starts))
+    return counts, np.count_nonzero(first, axis=1)
+
+
+def _packed(values, weights, first, counts: bool):
+    # (rows x k) arrays of each row's distinct values, increasing, and their
+    # counts (None unless counts), padded with the row's largest value at
+    # count 0
+    runs = np.count_nonzero(first, axis=1)
+    col = np.arange(runs.max())
+    at = np.minimum(col, runs[:, None] - 1) + (np.cumsum(runs) - runs)[:, None]
+    return values[first][at], (np.where(col < runs[:, None],
+                                        _run_counts(weights, first)[0][at], 0)
+                               if counts else None)
 
 
 def _local_times(a):

@@ -18,6 +18,11 @@ the batch endpoint samplers of both routes share one batch loop.  Both
 routes must agree in law with the exact enumeration oracle, which is the
 strongest correctness check in the test suite.
 
+Range statistics come from one (trials x steps) kernel, _trial_block,
+that streams each row in column chunks: annealed_range_stats is its
+one-row case, whose memory follows the visited sites rather than the
+horizon, and harness trials its many-row case.
+
 The exact oracles merge step sequences by state instead of enumerating
 them: by per-row displacement profile for the endpoint law (horizons up
 to 14, see enumeration.py), by surviving orientations for no-return
@@ -34,11 +39,10 @@ from functools import lru_cache
 import numpy as np
 
 from .enumeration import marked_sum_law
-from .laws import (_distinct, _keyed_signs, _lattice_blocks, _local_times,
-                   _merge_distinct, _row_blocks, _values_from_uniforms,
-                   lattice_at_sites, lazy_vertical, rademacher)
-from .rng import (RngStream, _mix64_vec, _uniform_rows, derive_stream, mix64,
-                  site_hash)
+from .laws import (_BLOCK_STEPS, _distinct, _keyed_signs, _local_times,
+                   _positions, _row_blocks, _row_counts, _values_from_uniforms,
+                   lattice_at_sites, lazy_vertical, rademacher, sample_lattice)
+from .rng import _M64, RngStream, _mix64_vec, _uniform_rows, mix64, site_hash
 
 H, UP, DOWN = 0, 1, 2  # step-type codes: horizontal, vertical up, vertical down
 
@@ -138,25 +142,13 @@ def simulate_quenched(env: Environment, p: float, n: int, rng) -> LatticePath:
     _check_p(p)
     if n < 0:
         raise ValueError("step count must be nonnegative")
-    x, y, dy = next(_walk_blocks(env, p, n, rng, max(n, 1)),
-                    np.zeros((3, 0), dtype=np.int64))
+    dy = sample_lattice(lazy_vertical(p), rng, n)
+    y = np.cumsum(dy)
+    # a horizontal step stays on its row, so y there is the row it moves along
+    x = np.cumsum(np.where(dy == 0, env.orientations(y), 0))
     types = np.where(dy == 0, H, np.where(dy > 0, UP, DOWN)).astype(np.uint8)
     return LatticePath(p=p, x=np.concatenate([[0], x]),
                        y=np.concatenate([[0], y]), step_types=types)
-
-
-def _walk_blocks(env: Environment, p: float, n: int, rng, chunk: int):
-    """Yield (x, y, dy) for steps 1..n of the walk in env, chunk steps at a
-    time: positions after each step and the vertical increments, 0 on the
-    horizontal steps.  The blocks do not depend on chunk.
-    """
-    x0 = y0 = 0
-    for dy in _lattice_blocks(lazy_vertical(p), rng, n, chunk):
-        y = y0 + np.cumsum(dy)
-        # a horizontal step stays on its row, so y there is the row it moves along
-        x = x0 + np.cumsum(np.where(dy == 0, env.orientations(y), 0))
-        x0, y0 = int(x[-1]), int(y[-1])
-        yield x, y, dy
 
 
 def simulate_annealed(p: float, n: int, master_seed: int) -> LatticePath:
@@ -284,35 +276,32 @@ def first_coordinate_decomposition(path: LatticePath, env: Environment) -> int:
 # vectorized batches (many independent trials at once)
 
 
-def _block_steps(dy: np.ndarray, keys: np.ndarray):
-    """Walks from rows of vertical increments dy, 0 on the horizontal steps:
-    (dx, y), the horizontal increments and the positions after each step.
+def _block_steps(dy: np.ndarray, keys: np.ndarray, y0=0):
+    """Walks from rows of vertical increments dy, 0 on the horizontal steps,
+    starting on the rows y0: (dx, y), the horizontal increments and the
+    rows after each step.
 
-    Row r reads its orientation field through the key keys[r], i.e. row
+    Walk r reads its orientation field through the key keys[r], i.e. row
     y's direction is the sign lattice_at_keyed_sites gives at (keys[r], y).
     """
-    y = np.cumsum(dy, axis=1, dtype=np.int64)
+    y = _positions(dy, y0)
     # a horizontal step stays on its row, so y there is the row it moves along
-    dx = _keyed_signs(keys[:, None], y)
+    dx = _keyed_signs(keys, y)
     dx *= dy == 0
     return dx, y
 
 
 def _batch_chunks(p: float, n: int, trials: int, base: int, tag: int,
                   rows_per_chunk: int):
-    """Yield (r, dx, y) for consecutive blocks of trials r..: one row of
+    """Yield (i, dx, y) for consecutive blocks of trials i..: one row of
     horizontal increments dx and of positions y after each step per trial.
 
     Chunk c of rows_per_chunk trials draws its steps from stream (base, c);
     trial i reads its orientation field through the key
     site_hash(base, i, counter=tag).
     """
-    for c0 in range(0, trials, rows_per_chunk):
-        m = min(rows_per_chunk, trials - c0)
-        stream = derive_stream(base, c0 // rows_per_chunk)
-        for r, dy in _row_blocks(lazy_vertical(p), stream, m, n):
-            keys = site_hash(base, np.arange(c0 + r, c0 + r + len(dy)), counter=tag)
-            yield (c0 + r, *_block_steps(dy, keys))
+    for ids, dy in _row_blocks(lazy_vertical(p), base, trials, n, rows_per_chunk):
+        yield (ids[0], *_block_steps(dy, site_hash(base, ids, counter=tag)[:, None]))
 
 
 def _batch_endpoints(p: float, n: int, trials: int, base: int, tag: int):
@@ -457,7 +446,7 @@ def _settle(states: dict, y: int, rows: tuple, pairs, w: float, left: int) -> fl
 
 
 # ---------------------------------------------------------------------------
-# streaming statistics (constant memory in the horizon)
+# range statistics, streamed in column chunks
 
 
 @dataclass
@@ -486,55 +475,49 @@ class WalkSummary:
 
 
 def annealed_range_stats(p: float, n: int, master_seed: int,
-                         chunk: int = 1 << 20) -> WalkSummary:
-    """Range statistics of an annealed walk, chunked so memory scales with
-    the number of distinct visited sites rather than the horizon.
-
-    Walks the same path as simulate_annealed at the same seed, whatever
-    the chunk size.
-    """
+                         chunk: int = _BLOCK_STEPS) -> WalkSummary:
+    """Range statistics of the path simulate_annealed walks at the same
+    seed, read off chunk steps at a time (the results do not depend on
+    chunk), so memory scales with the distinct visited sites rather than
+    the horizon."""
     _check_p(p)
-    visited = _encode_sites(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
-    x_min = x_max = x_final = y_final = first_return = done = 0
-    for x, y, _ in _walk_blocks(annealed_environment(master_seed), p, n,
-                                RngStream(mix64(master_seed, _WALK_TAG), 0), chunk):
-        visited = _merge_distinct(visited, _distinct(_encode_sites(x, y)))
-        if not first_return:
-            hits = np.flatnonzero((x == 0) & (y == 0))
-            first_return = done + int(hits[0]) + 1 if hits.size else 0
-        x_min = min(x_min, int(x.min()))
-        x_max = max(x_max, int(x.max()))
-        x_final, y_final = int(x[-1]), int(y[-1])
-        done += x.size
-    return WalkSummary(steps=n, sites=int(visited.size), x_min=x_min, x_max=x_max,
-                       x_final=x_final, y_final=y_final, first_return=first_return)
+    stats = _trial_block(p, n, np.array([int(master_seed) & _M64], dtype=np.uint64),
+                         True, chunk)
+    return WalkSummary(n, *(int(v[0]) for v in stats))
 
 
-def _trial_block(p: float, n: int, seeds, sites: bool):
+def _trial_block(p: float, n: int, seeds, sites: bool, chunk: int):
     """annealed_range_stats(p, n, seed) for each seed of the uint64 array
-    seeds, as one (trials x n) block: arrays (sites, x_min, x_max,
-    first_return), one entry per seed.
+    seeds, as one (trials x n) kernel: one array per WalkSummary field
+    after steps, one entry per seed.
 
     Each walk draws its steps from its own stream and reads its own
-    orientation field, as in simulate_annealed.  Counting the distinct
-    sites takes a sort of the block, so it is skipped (sites is None)
-    unless asked for.
+    orientation field, as in simulate_annealed.  The kernel walks chunk
+    steps of every row at a time and carries each row's position,
+    extremes, first return and visited sites over.  Counting the sites
+    takes a sort of the block, so it is skipped (sites is None) unless
+    asked for.
     """
-    dy = _values_from_uniforms(lazy_vertical(p),
-                               _uniform_rows(_mix64_vec(seeds, _WALK_TAG), n), None)
+    rows = len(seeds)
+    walk = _mix64_vec(seeds, _WALK_TAG)
     # annealed_environment's field: lattice_at_sites(rademacher(), seed', row)
     # hashes the row under the key mix64(seed', 0)
-    dx, y = _block_steps(dy, _mix64_vec(_mix64_vec(seeds, _ENV_TAG), 0))
-    del dy
-    x = np.cumsum(dx, axis=1, dtype=np.int64)
-    del dx
-    home = (x == 0) & (y == 0)
-    first_return = np.where(home.any(axis=1), home.argmax(axis=1) + 1, 0)
-    count = None
-    if sites:
-        enc = _encode_sites(x, y)
-        enc.sort(axis=1)
-        # distinct sites per row, plus the origin unless the walk came back
-        count = (enc[:, 1:] != enc[:, :-1]).sum(axis=1) + 1 + (first_return == 0)
-    return (count, np.minimum(x.min(axis=1), 0), np.maximum(x.max(axis=1), 0),
-            first_return)
+    keys = _mix64_vec(_mix64_vec(seeds, _ENV_TAG), 0)[:, None]
+    x_end = y_end = x_min = x_max = first_return = np.zeros(rows, dtype=np.int64)
+    seen = _row_counts(np.zeros((rows, 0), dtype=np.int64))
+    for c0 in range(0, n, chunk):
+        dy = _values_from_uniforms(
+            lazy_vertical(p), _uniform_rows(walk, min(chunk, n - c0), c0), None)
+        dx, y = _block_steps(dy, keys, y_end)
+        x = _positions(dx, x_end)
+        home = (x == 0) & (y == 0)
+        hit = np.where(home.any(axis=1), c0 + home.argmax(axis=1) + 1, 0)
+        first_return = np.where(first_return > 0, first_return, hit)
+        x_min = np.minimum(x_min, x.min(axis=1))
+        x_max = np.maximum(x_max, x.max(axis=1))
+        x_end, y_end = x[:, -1].copy(), y[:, -1].copy()
+        if sites:
+            seen = _row_counts(_encode_sites(x, y), seen, counts=False)
+    # distinct sites per row, plus the origin unless the walk came back
+    count = np.count_nonzero(seen[2], axis=1) + (first_return == 0) if sites else None
+    return count, x_min, x_max, x_end, y_end, first_return

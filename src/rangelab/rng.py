@@ -112,18 +112,23 @@ class RngStream:
         return RngStream(mix64(self.master_seed, self.stream_id, tag), 0)
 
 
-def _uniform_rows(seeds, width: int) -> np.ndarray:
-    """Row r holds the first width uniforms of RngStream(seeds[r], 0): one
-    stream per trial, stacked into a block."""
+def _uniform_rows(seeds, width: int, start: int = 0) -> np.ndarray:
+    """Row r holds uniforms start..start+width-1 of RngStream(seeds[r], 0):
+    one stream per trial, stacked into a block."""
     u = np.empty((len(seeds), width))
     bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     gen = np.random.Generator(bits)
-    # a new stream's state, counter 0 and nothing buffered, is set per row
-    # rather than building a generator per row, which costs four times more
+    # a new stream's state, nothing buffered and counter start // 4 (where
+    # advance(start // 4) puts it), is set per row rather than building a
+    # generator per row, which costs four times more
     state = bits.state
+    state["state"]["counter"][0] = start // 4
+    skip = start % 4
     for row, seed in enumerate(seeds):
         state["state"]["key"][0] = seed
         bits.state = state
+        if skip:
+            gen.random(skip)
         gen.random(out=u[row])
     return u
 

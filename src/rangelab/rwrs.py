@@ -13,8 +13,11 @@ normalizations and limit objects, which is what makes this model the
 analytical route to that walk's horizontal range.
 
 Scenery values are realized lazily through site hashing, so revisits at
-any distance agree automatically and simulation memory scales with the
-number of distinct visited sites.
+any distance agree automatically.  Range and self-intersection
+statistics come from one (trials x steps) kernel, _trial_block, that
+streams each row in column chunks: rwrs_range_stats is its one-row
+case, whose memory follows the distinct sites and Z levels rather than
+the horizon, and harness trials its many-row case.
 """
 
 from __future__ import annotations
@@ -25,11 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .enumeration import marked_sum_law
-from .laws import (LatticeLaw, _counts, _distinct, _lattice_blocks,
-                   _local_times, _merge_local_times, _row_blocks,
-                   _values_from_uniforms, lattice_at_keyed_sites,
-                   lattice_at_sites, lattice_support, stable_index)
-from .rng import RngStream, _mix64_vec, _uniform_rows, mix64, site_hash
+from .laws import (_BLOCK_STEPS, LatticeLaw, _counts, _distinct, _local_times,
+                   _positions, _row_blocks, _row_counts, _run_counts,
+                   _values_from_uniforms, lattice_at_keyed_sites, lattice_at_sites,
+                   lattice_support, sample_lattice, stable_index)
+from .rng import _M64, RngStream, _mix64_vec, _uniform_rows, mix64, site_hash
 
 ENUMERATION_CAP = 12
 
@@ -98,34 +101,18 @@ def simulate_rwrs(model: RwrsModel, n: int, master_seed: int) -> ZPath:
     """
     if n < 0:
         raise ValueError("step count must be nonnegative")
-    s, uniq, cnt, site_vals, z = next(_scenery_blocks(model, n, master_seed, max(n, 1)),
-                                      np.zeros((5, 0), dtype=np.int64))
+    s = np.cumsum(sample_lattice(model.walk_law,
+                                 RngStream(mix64(master_seed, _WALK_TAG), 0), n))
+    uniq, cnt, inv = _local_times(s)
+    site_vals = lattice_at_sites(model.scenery_law, mix64(master_seed, _SCENERY_TAG),
+                                 uniq)
+    z = np.cumsum(site_vals[inv])
     return ZPath(model=model, walk=np.concatenate([[0], s]),
                  values=np.concatenate([[0], z]),
                  scenery={int(y): int(v) for y, v in zip(uniq, site_vals)},
                  local_time=LocalTimeMap(
                      counts={int(y): int(c) for y, c in zip(uniq, cnt)},
                      steps=n))
-
-
-def _scenery_blocks(model: RwrsModel, n: int, master_seed: int, chunk: int):
-    """Yield (s, sites, counts, values, z) for steps 1..n, chunk steps at a
-    time: walk positions, the block's distinct sites with their visit
-    counts and scenery values, and the scenery sums.  The blocks do not
-    depend on chunk.
-    """
-    scenery_seed = mix64(master_seed, _SCENERY_TAG)
-    s0 = z0 = 0
-    for steps in _lattice_blocks(model.walk_law, RngStream(mix64(master_seed, _WALK_TAG), 0),
-                                 n, chunk):
-        s = s0 + np.cumsum(steps)
-        del steps
-        uniq, cnt, inv = _local_times(s)
-        site_vals = lattice_at_sites(model.scenery_law, scenery_seed, uniq)
-        z = z0 + np.cumsum(site_vals[inv])
-        del inv
-        s0, z0 = int(s[-1]), int(z[-1])
-        yield s, uniq, cnt, site_vals, z
 
 
 def self_intersections(lt: LocalTimeMap) -> int:
@@ -271,21 +258,20 @@ def exact_no_return_z(model: RwrsModel, horizon: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# batches and streaming
+# batches and range statistics
 
 
 def _block_paths(model: RwrsModel, steps: np.ndarray, key0: np.ndarray,
-                 key1: np.ndarray):
-    """Scenery walks from rows of walk steps: (s, z), the positions and the
-    scenery sums after each step, one row per walk.
+                 key1: np.ndarray, s0=0, z0=0):
+    """Scenery walks from rows of walk steps, starting at the positions s0
+    with the scenery sums z0: (s, z), the positions and the scenery sums
+    after each step, one row per walk.
 
     Row r's scenery is the field lattice_at_keyed_sites gives under the
     keys key0[r] and key1[r].
     """
-    s = np.cumsum(steps, axis=1, dtype=np.int64)
-    vals = lattice_at_keyed_sites(model.scenery_law, key0[:, None],
-                                  key1[:, None], s)
-    return s, np.cumsum(vals, axis=1, dtype=np.int64)
+    s = _positions(steps, s0)
+    return s, _positions(lattice_at_keyed_sites(model.scenery_law, key0, key1, s), z0)
 
 
 def no_return_z_count(model: RwrsModel, horizon: int, trials: int,
@@ -300,15 +286,11 @@ def no_return_z_count(model: RwrsModel, horizon: int, trials: int,
         raise ValueError("horizon must be at least 1")
     survivors = 0
     base = mix64(master_seed, _BATCH_TAG, horizon)
-    chunk = max(1, (1 << 22) // horizon)
-    for c0 in range(0, trials, chunk):
-        m = min(chunk, trials - c0)
-        stream = RngStream(base, c0 // chunk)
-        for r, steps in _row_blocks(model.walk_law, stream, m, horizon):
-            ids = np.arange(c0 + r, c0 + r + len(steps))
-            _, z = _block_paths(model, steps, site_hash(base, ids, counter=10),
-                                site_hash(base, ids, counter=11))
-            survivors += int((z != 0).all(axis=1).sum())
+    for ids, steps in _row_blocks(model.walk_law, base, trials, horizon,
+                                  max(1, (1 << 22) // horizon)):
+        _, z = _block_paths(model, steps, site_hash(base, ids, counter=10)[:, None],
+                            site_hash(base, ids, counter=11)[:, None])
+        survivors += int((z != 0).all(axis=1).sum())
     return survivors
 
 
@@ -335,79 +317,57 @@ class ScenerySummary:
     def returned(self) -> bool:
         return self.first_return > 0
 
-    @property
-    def z_range(self) -> int:
-        return self.distinct_z
-
 
 def rwrs_range_stats(model: RwrsModel, n: int, master_seed: int,
-                     chunk: int = 1 << 20) -> ScenerySummary:
-    """Chunked scenery-walk statistics for horizons too long to store.
-
-    Lazy site hashing makes this exact: a site revisited in a later
-    chunk reproduces the value it had in an earlier one.  The walk and
-    the scenery sums are those of simulate_rwrs at the same seed whatever
-    the chunk size; memory scales with the distinct sites and Z levels.
-    """
-    sites = counts = levels = level_counts = np.zeros(0, dtype=np.int64)
-    z_min = z_max = z_final = first_return = done = 0
-    for _, uniq, cnt, _, z in _scenery_blocks(model, n, master_seed, chunk):
-        sites, counts = _merge_local_times(sites, counts, uniq, cnt)
-        zl, zc = _counts(z)
-        levels, level_counts = _merge_local_times(levels, level_counts, zl, zc)
-        if not first_return:
-            hits = np.flatnonzero(z == 0)
-            first_return = done + int(hits[0]) + 1 if hits.size else 0
-        z_min = min(z_min, int(z.min()))
-        z_max = max(z_max, int(z.max()))
-        z_final = int(z[-1])
-        done += z.size
-    return ScenerySummary(
-        steps=n, z_min=z_min, z_max=z_max, z_final=z_final,
-        # Z_0 = 0 adds a level unless a later Z_k returns to it
-        distinct_z=int(levels.size) + (0 if first_return else 1),
-        self_intersections=int((counts ** 2).sum()),
-        vbeta=float(_power_sums(counts, np.array([counts.size]), model.beta)[0]),
-        zv=int((level_counts ** 2).sum()), first_return=first_return)
+                     chunk: int = _BLOCK_STEPS) -> ScenerySummary:
+    """Statistics of the scenery walk simulate_rwrs runs at the same seed,
+    read off chunk steps at a time (the results do not depend on chunk),
+    so memory scales with the distinct sites and Z levels rather than the
+    horizon.  Lazy site hashing makes this exact: a site revisited in a
+    later chunk reproduces the value it had in an earlier one."""
+    stats = _trial_block(model, n, np.array([int(master_seed) & _M64], dtype=np.uint64),
+                         chunk)
+    return ScenerySummary(n, *(v[0].item() for v in stats))
 
 
-def _row_runs(a: np.ndarray):
-    """Run lengths of equal values along the rows of the row-sorted 2-D
-    array a, row after row, and the number of runs in each row."""
-    first = np.ones(a.shape, dtype=bool)
-    np.not_equal(a[:, 1:], a[:, :-1], out=first[:, 1:])
-    return np.diff(np.flatnonzero(first), append=a.size), first.sum(axis=1)
-
-
-def _trial_block(model: RwrsModel, n: int, seeds):
+def _trial_block(model: RwrsModel, n: int, seeds, chunk: int):
     """rwrs_range_stats(model, n, seed) for each seed of the uint64 array
-    seeds, as one (trials x n) block: arrays (z_min, z_max, distinct_z,
-    self_intersections, vbeta, zv, first_return), one entry per seed.
+    seeds, as one (trials x n) kernel: one array per ScenerySummary field
+    after steps, one entry per seed.
 
     Each walk draws its steps from its own stream and reads its own
-    scenery field, as in simulate_rwrs.
+    scenery field, as in simulate_rwrs.  The kernel walks chunk steps of
+    every row at a time and carries each row's position, scenery sum,
+    extremes, first return, local times and level counts over.
     """
-    pairs = 2 if model.walk_law.kind == "pareto_tail" else 1
-    # as _lattice_blocks: u1 is the next n uniforms of the walk's stream
-    u = _uniform_rows(_mix64_vec(seeds, _WALK_TAG), pairs * n)
-    steps = _values_from_uniforms(model.walk_law, u[:, :n],
-                                  u[:, n:] if pairs == 2 else None)
-    del u
+    rows = len(seeds)
+    walk = _mix64_vec(seeds, _WALK_TAG)
     # lattice_at_sites(law, seed', sites) hashes under mix64(seed', 0 and 1)
     scenery = _mix64_vec(seeds, _SCENERY_TAG)
-    s, z = _block_paths(model, steps, _mix64_vec(scenery, 0), _mix64_vec(scenery, 1))
-    del steps
-    home = z == 0
-    first_return = np.where(home.any(axis=1), home.argmax(axis=1) + 1, 0)
-    z_min = np.minimum(z.min(axis=1), 0)
-    z_max = np.maximum(z.max(axis=1), 0)
-    s.sort(axis=1)
-    counts, runs = _row_runs(s)
-    vn = np.add.reduceat(counts * counts, np.cumsum(runs) - runs)
-    vbeta = _power_sums(counts, runs, model.beta)
-    z.sort(axis=1)
-    counts, levels = _row_runs(z)
-    zv = np.add.reduceat(counts * counts, np.cumsum(levels) - levels)
+    key0, key1 = (_mix64_vec(scenery, c)[:, None] for c in (0, 1))
+    s_end = z_end = z_min = z_max = first_return = np.zeros(rows, dtype=np.int64)
+    sites = levels = _row_counts(np.zeros((rows, 0), dtype=np.int64))
+    for c0 in range(0, n, chunk):
+        w = min(chunk, n - c0)
+        # as sample_lattice: u1 of step k is uniform n + k of the walk's stream
+        u1 = (_uniform_rows(walk, w, n + c0)
+              if model.walk_law.kind == "pareto_tail" else None)
+        steps = _values_from_uniforms(model.walk_law, _uniform_rows(walk, w, c0), u1)
+        s, z = _block_paths(model, steps, key0, key1, s_end, z_end)
+        home = z == 0
+        hit = np.where(home.any(axis=1), c0 + home.argmax(axis=1) + 1, 0)
+        first_return = np.where(first_return > 0, first_return, hit)
+        z_min = np.minimum(z_min, z.min(axis=1))
+        z_max = np.maximum(z_max, z.max(axis=1))
+        s_end, z_end = s[:, -1].copy(), z[:, -1].copy()
+        sites = _row_counts(s, sites)
+        levels = _row_counts(z, levels)
+    counts, runs = _run_counts(*sites[1:])
+    level_counts, distinct = _run_counts(*levels[1:])
+    # per-row sums of squares; the appended 0 keeps reduceat's row starts
+    # in range when n = 0
+    vn, zv = (np.add.reduceat(np.append(c * c, 0), np.cumsum(k) - k)
+              for c, k in ((counts, runs), (level_counts, distinct)))
     # Z_0 = 0 adds a level unless a later Z_k returns to it
-    return (z_min, z_max, levels + (first_return == 0), vn, vbeta, zv,
-            first_return)
+    return (z_min, z_max, z_end, distinct + (first_return == 0), vn,
+            _power_sums(counts, runs, model.beta), zv, first_return)

@@ -33,6 +33,14 @@ def run_cli(*argv):
 # config resolution
 
 
+def test_package_exposes_version_and_submodules():
+    import rangelab
+    assert isinstance(rangelab.__version__, str)
+    for name in ("rng", "laws", "enumeration", "oriented", "rwrs", "limit",
+                 "harness", "cli"):
+        assert getattr(rangelab, name).__name__ == f"rangelab.{name}"
+
+
 def test_defaults_fill_in_and_resolution_is_idempotent():
     cfg = resolve_config(dict(BASE))
     assert cfg["seed"] == 0

@@ -486,6 +486,19 @@ def test_interval_coverage_on_fair_coin_flips():
     assert 0.97 <= covered / 1000 <= 1.0
 
 
+@given(st.sampled_from(["simple", "lazy:0.3", "ternary:0.5"])
+       | st.floats(0.3, 1.9).map(lambda a: f"pareto:{a}"),
+       st.sampled_from(["rademacher", "ternary:0.3"])
+       | st.floats(0.3, 1.9).filter(lambda b: b != 1.0).map(lambda b: f"pareto:{b}"))
+@settings(max_examples=60, deadline=None)
+def test_no_predicted_range_exponent_exceeds_one(walk, scenery):
+    # a range holds at most n + 1 sites or levels
+    for stat in ("range", "first_range"):
+        assert expected_exponent("oriented", stat, {"p": 0.5}) <= 1.0
+    params = {"walk": walk, "scenery": scenery}
+    assert expected_exponent("rwrs", "zrange", params) <= 1.0
+
+
 def test_expected_exponents_for_the_lattice_models():
     assert expected_exponent("oriented", "range", {"p": 0.5}) == 1.0
     assert expected_exponent("oriented", "first_range", {"p": 0.5}) == 0.75

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from rangelab.oriented import (DOWN, ESCAPE_CAP, H, UP, Environment,
-                               LatticePath,
+                               LatticePath, _trial_block,
                                annealed_endpoints, annealed_environment,
                                annealed_range_stats, exact_annealed_law,
                                exact_no_return_probability,
@@ -22,7 +22,7 @@ from rangelab.oriented import (DOWN, ESCAPE_CAP, H, UP, Environment,
                                simulate_quenched, skew_product_endpoints,
                                skew_product_environment, skew_product_path,
                                validate_path)
-from rangelab.rng import RngStream
+from rangelab.rng import RngStream, _mix64_vec
 
 
 def make_path(p, xs, ys, types):
@@ -466,6 +466,19 @@ def test_streaming_stats_match_path_functionals():
     assert summary.returned == bool(origin_hits)
     first = np.flatnonzero((path.x[1:] == 0) & (path.y[1:] == 0))[0] + 1
     assert summary.first_return == first
+
+
+def test_trial_block_chunks_do_not_change_results():
+    # 39 walks of 500 steps, read in column chunks that split the rows
+    # anywhere, against one chunk
+    seeds = _mix64_vec(9, np.arange(39, dtype=np.uint64))
+    n = 500
+    want = _trial_block(0.5, n, seeds, True, 1 << 20)
+    assert want[-1].any() and not want[-1].all()  # some walks come back
+    for chunk in (1, 7, n - 1):
+        got = _trial_block(0.5, n, seeds, True, chunk)
+        for a, b in zip(got, want):
+            assert (a == b).all()
 
 
 def test_streaming_chunking_does_not_change_results():

@@ -59,6 +59,15 @@ def test_vector_mix64_and_stacked_streams_match_the_scalar_ones(seed, words):
         assert (row == RngStream(int(s), 0).generator().random(9)).all()
 
 
+def test_uniform_rows_start_mid_stream():
+    # a column chunk reads the uniforms the one-shot row holds there, from
+    # inside a Philox block of four and past a whole number of them
+    seeds = _mix64_vec(3, np.arange(5, dtype=np.uint64))
+    whole = _uniform_rows(seeds, 4097 + 9)
+    for start in (1, 3, 5, 4097):
+        assert (_uniform_rows(seeds, 9, start) == whole[:, start:start + 9]).all()
+
+
 def test_site_hash_golden():
     got = site_hash(0, [0, 1, -1])
     assert [int(v) for v in got] == [0xEA23449128F3064A, 0x1AFCEA55E98CC906,

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from rangelab.laws import (lazy_vertical, pareto_tail, rademacher,
-                           simple_symmetric, ternary)
-from rangelab.rwrs import (LocalTimeMap, RwrsModel, exact_no_return_z,
+from rangelab.laws import (lattice_support, lazy_vertical, pareto_tail,
+                           rademacher, simple_symmetric, ternary)
+from rangelab.rng import _mix64_vec
+from rangelab.rwrs import (LocalTimeMap, RwrsModel, _trial_block, exact_no_return_z,
                            exact_rwrs_law, no_return_z_count, range_z,
                            rwrs_range_stats, scaling_exponent,
                            scaling_normalizer, self_intersections,
@@ -80,6 +81,35 @@ def test_model_validation():
         RwrsModel(simple_symmetric(), rademacher(), alpha=1.5)
     m = RwrsModel(pareto_tail(0.8), pareto_tail(1.5))
     assert (m.alpha, m.beta) == (0.8, 1.5)
+
+
+@pytest.mark.parametrize("model", [RwrsModel(simple_symmetric(), ternary(0.3)),
+                                   RwrsModel(lazy_vertical(0.4), ternary(0.6))])
+def test_mean_z_range_is_one_plus_the_escape_curve(model):
+    # E[#distinct Z_0..Z_n] = 1 + sum_{k=1..n} P(Z_j != 0, j = 1..k), as for
+    # the oriented walk; brute force over every walk path of length 6 and
+    # every scenery value of its sites gives the left side, n = 1..6, from
+    # the paths' prefixes
+    n = 6
+    steps = lattice_support(model.walk_law)
+    scen = lattice_support(model.scenery_law)
+    mean = [0.0] * (n + 1)
+
+    def descend(k, pos, z, levels, scenery, w):
+        mean[k] += w * len(levels)
+        if k == n:
+            return
+        for d, pw in steps:
+            site = pos + d
+            known = scenery.get(site)
+            for v, pv in scen if known is None else [(known, 1.0)]:
+                descend(k + 1, site, z + v, levels | {z + v},
+                        {**scenery, site: v}, w * pw * pv)
+
+    descend(0, 0, 0, frozenset({0}), {}, 1.0)
+    for k in range(1, n + 1):
+        want = 1.0 + sum(exact_no_return_z(model, j) for j in range(1, k + 1))
+        assert mean[k] == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +256,20 @@ def test_transient_range_fraction_decreases_and_concentrates():
     m1, se1 = stats[1600]
     assert m1 <= m0 + 3.0 * (se0 + se1)
     assert 0.0 < m1 <= 1.0
+
+
+def test_trial_block_chunks_do_not_change_results():
+    # several walks read in column chunks that split the rows anywhere,
+    # against one chunk; the heavy-tailed walk reads each step's second
+    # uniform n steps further on
+    seeds = _mix64_vec(4, np.arange(6, dtype=np.uint64))
+    heavy = RwrsModel(pareto_tail(1.5), rademacher())
+    for model, n in ((SIMPLE_TERN, 300), (heavy, 2003)):
+        want = _trial_block(model, n, seeds, 1 << 20)
+        for chunk in (1, 7, n - 1):
+            got = _trial_block(model, n, seeds, chunk)
+            for a, b in zip(got, want):
+                assert (a == b).all()
 
 
 def test_streaming_stats_match_simulation():
