@@ -24,9 +24,9 @@ one-row case, whose memory follows the visited sites rather than the
 horizon, and harness trials its many-row case.
 
 The exact oracles merge step sequences by state instead of enumerating
-them: by per-row displacement profile for the endpoint law (horizons up
-to 14, see enumeration.py), by surviving orientations for no-return
-(up to 16).
+them: by per-row displacement profile, up to its mirror image, for the
+endpoint law (horizons up to 14, see enumeration.py), by surviving
+orientations for no-return (up to 16).
 """
 
 from __future__ import annotations

@@ -2,11 +2,15 @@
 
 import csv
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rangelab
 from rangelab import cli
 from rangelab.cli import main, resolve_config
 from rangelab.harness import MAX_TRIAL_STEPS, ConfigError
@@ -249,5 +253,17 @@ def test_exact_caps_and_bad_parameters(capsys):
 def test_installed_script_answers():
     out = subprocess.run(["rangelab", "exact", "cp-escape", "--p", "0.5",
                           "--L", "2"], capture_output=True, text=True)
+    assert out.returncode == 0
+    assert float(out.stdout) == 0.875
+
+
+def test_module_entry_point_answers():
+    # python -m rangelab needs no installed script; the child imports the
+    # package from wherever this process found it
+    src = str(Path(rangelab.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-m", "rangelab", "exact", "cp-escape",
+                          "--p", "0.5", "--L", "2"], capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert float(out.stdout) == 0.875

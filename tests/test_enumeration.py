@@ -36,6 +36,11 @@ LAZY = ((0, 0.5), (1, 0.25), (-1, 0.25))
 SIMPLE = ((1, 0.5), (-1, 0.5))
 SIGNS = ((-1, 0.5), (1, 0.5))
 TERN = ((-1, 0.25), (0, 0.5), (1, 0.25))
+JUMPY = ((2, 0.3), (-1, 0.3), (0, 0.4))  # leaves unmarked sites inside the hull
+
+
+def symmetric(steps):
+    return dict(steps) == {-d: q for d, q in steps}
 
 
 @pytest.mark.parametrize("steps,mark_moves,values,n", [
@@ -44,6 +49,9 @@ TERN = ((-1, 0.25), (0, 0.5), (1, 0.25))
     (SIMPLE, True, SIGNS, 5),
     (SIMPLE, True, TERN, 4),
     (LAZY, True, TERN, 3),
+    # asymmetric steps: profiles are not merged with their mirror images
+    (JUMPY, False, SIGNS, 4),
+    (JUMPY, True, TERN, 4),
 ])
 def test_dp_agrees_with_brute_force(steps, mark_moves, values, n):
     got = marked_sum_law(steps, n, mark_moves, values)
@@ -89,22 +97,46 @@ def brute_profiles(steps, n, mark_moves):
     return out
 
 
-JUMPY = ((2, 0.3), (-1, 0.3), (0, 0.4))  # leaves unmarked sites inside the hull
+def mirror(key):
+    """The mirror image of a (position, marks) profile."""
+    pos, marks = key
+    return -pos, tuple(sorted((-site, c) for site, c in marks))
 
 
 @pytest.mark.parametrize("steps", [LAZY, JUMPY])
 @pytest.mark.parametrize("mark_moves", [False, True])
 def test_profiles_match_brute_force_marks(steps, mark_moves):
     n = 6
+    states = profile_states(steps, n, mark_moves)
     got = defaultdict(float)
-    for (pos, lo, counts), w in profile_states(steps, n, mark_moves).items():
-        got[(pos, tuple((lo + i, c) for i, c in enumerate(counts) if c))] += w
+    for (pos, lo, counts), w in states.items():
+        key = (pos, tuple((lo + i, c) for i, c in enumerate(counts) if c))
+        if symmetric(steps):
+            # a kept state stands for itself and its mirror image
+            got[key] += w / 2
+            got[mirror(key)] += w / 2
+        else:
+            got[key] += w
     want = brute_profiles(steps, n, mark_moves)
-    # one state per (position, marks): the hull form is canonical
-    assert len(got) == len(profile_states(steps, n, mark_moves))
+    # the hull form is canonical: one state per (position, marks), or per
+    # mirror pair of them when the steps are symmetric
+    pairs = {frozenset((key, mirror(key))) for key in want}
+    assert len(states) == (len(pairs) if symmetric(steps) else len(want))
     assert set(got) == set(want)
     for key in want:
         assert got[key] == pytest.approx(want[key], rel=1e-12)
+
+
+@pytest.mark.parametrize("steps,mark_moves,values,n", [
+    (LAZY, False, SIGNS, 9),
+    (SIMPLE, True, TERN, 8),
+    (((0, 0.37), (1, 0.315), (-1, 0.315)), False, SIGNS, 10),
+])
+def test_symmetric_steps_give_a_mirror_symmetric_law(steps, mark_moves, values, n):
+    law = marked_sum_law(steps, n, mark_moves, values)
+    assert any(pos for _, pos in law)
+    for (val, pos), w in law.items():
+        assert law[(val, -pos)] == w
 
 
 def test_value_distribution_convolves():

@@ -468,6 +468,21 @@ def test_streaming_stats_match_path_functionals():
     assert summary.first_return == first
 
 
+def test_mean_range_matches_first_returns_by_monte_carlo():
+    # E[R_n] = 1 + sum_{k=1..n} q_k = 1 + E[min(T - 1, n)], T the first
+    # return to the origin (n + 1 when there is none): the mean range of
+    # 4,000 walks against the first returns of 4,000 independent ones
+    n = 1024
+    seeds = _mix64_vec(21, np.arange(8000, dtype=np.uint64))
+    blocks = [_trial_block(0.5, n, seeds[i:i + 1000], i < 4000, n)
+              for i in range(0, 8000, 1000)]
+    sites = np.concatenate([b[0] for b in blocks[:4]])
+    first = np.concatenate([b[-1] for b in blocks[4:]])
+    escape = 1 + np.minimum(np.where(first > 0, first, n + 1) - 1, n)
+    sigma = np.sqrt(sites.var(ddof=1) / sites.size + escape.var(ddof=1) / escape.size)
+    assert abs(sites.mean() - escape.mean()) <= 4.0 * sigma
+
+
 def test_trial_block_chunks_do_not_change_results():
     # 39 walks of 500 steps, read in column chunks that split the rows
     # anywhere, against one chunk

@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -65,6 +66,70 @@ def test_no_return_hand_values_and_monotonicity():
     assert all(a >= b - 1e-12 for a, b in zip(qs, qs[1:]))
 
 
+def fraction_no_return_z(model, horizon):
+    """q_1..q_horizon of P(Z_j != 0, j = 1..k) in exact rationals of the
+    float laws.
+
+    Depth-first search over walk steps and the scenery values of newly
+    visited sites, which are frozen on first use.  Every float
+    probability here is a multiple of 2^-64, so the weights at depth k
+    are integers over 2^(128 k).
+    """
+    e = 64
+
+    def scaled(law):
+        out = [(v, Fraction(q) * 2 ** e) for v, q in lattice_support(law)]
+        assert all(q.denominator == 1 for _, q in out)
+        return [(v, int(q)) for v, q in out]
+
+    steps, scen = scaled(model.walk_law), scaled(model.scenery_law)
+    alive = [0] * (horizon + 1)
+    seen = {}
+
+    def descend(k, pos, z, w):
+        alive[k] += w
+        if k == horizon:
+            return
+        for d, pw in steps:
+            site = pos + d
+            known = seen.get(site)
+            for v, pv in scen if known is None else [(known, 1 << e)]:
+                if z + v == 0:
+                    continue
+                seen[site] = v
+                descend(k + 1, site, z + v, w * pw * pv)
+                if known is None:
+                    del seen[site]
+
+    descend(0, 0, 0, 1)
+    return [Fraction(w, 1 << 2 * e * k) for k, w in enumerate(alive)][1:]
+
+
+@pytest.mark.parametrize("model", [SIMPLE_RAD,
+                                   RwrsModel(simple_symmetric(), ternary(0.3)),
+                                   RwrsModel(lazy_vertical(0.4), ternary(0.6))])
+def test_no_return_matches_exact_rationals(model):
+    # the rationals take the float laws as they are, so only the DP's own
+    # rounding separates the two
+    for L, want in enumerate(fraction_no_return_z(model, 8), start=1):
+        got = exact_no_return_z(model, L)
+        assert abs(Fraction(got) - want) <= Fraction(1, 10 ** 13) * want
+
+
+# q_L for the simple walk on fair signs, L = 1..12; the weights are dyadic,
+# so the float values are exact
+Q_RAD = (1.0, 0.5, 0.5, 0.46875, 0.46875, 0.44140625, 0.44140625,
+         0.4227294921875, 0.4227294921875, 0.4068756103515625,
+         0.4068756103515625, 0.39391422271728516)
+
+
+def test_no_return_on_fair_signs_is_exact():
+    qs = [exact_no_return_z(SIMPLE_RAD, L) for L in range(1, 13)]
+    assert qs == list(Q_RAD)
+    # with +-1 scenery Z_k has the parity of k, so odd times never return
+    assert all(qs[2 * k] == qs[2 * k - 1] for k in range(1, 6))
+
+
 def test_exact_caps():
     with pytest.raises(ValueError):
         exact_rwrs_law(SIMPLE_RAD, 13)
@@ -110,6 +175,20 @@ def test_mean_z_range_is_one_plus_the_escape_curve(model):
     for k in range(1, n + 1):
         want = 1.0 + sum(exact_no_return_z(model, j) for j in range(1, k + 1))
         assert mean[k] == pytest.approx(want, rel=1e-12)
+
+
+def test_mean_z_range_matches_first_returns_by_monte_carlo():
+    # E[R_n] = 1 + sum_{k=1..n} q_k = 1 + E[min(T - 1, n)], T the first
+    # return of Z to 0 (n + 1 when there is none): the mean range of 4,000
+    # walks against the first returns of 4,000 independent ones, n = 1024
+    model, n = RwrsModel(simple_symmetric(), ternary(0.3)), 1024
+    seeds = _mix64_vec(23, np.arange(8000, dtype=np.uint64))
+    blocks = [_trial_block(model, n, seeds[i:i + 1000], n) for i in range(0, 8000, 1000)]
+    z_range = np.concatenate([b[3] for b in blocks[:4]])
+    first = np.concatenate([b[-1] for b in blocks[4:]])
+    escape = 1 + np.minimum(np.where(first > 0, first, n + 1) - 1, n)
+    sigma = math.sqrt(z_range.var(ddof=1) / z_range.size + escape.var(ddof=1) / escape.size)
+    assert abs(z_range.mean() - escape.mean()) <= 4.0 * sigma
 
 
 # ---------------------------------------------------------------------------
