@@ -214,8 +214,8 @@ def _run_exact(args) -> int:
         print(f"{q:.15g}")
     elif args.table == "rwrs-law":
         _check_cap(args.n, rwrs.ENUMERATION_CAP, "rwrs-law")
-        model = rwrs.RwrsModel(harness.parse_lattice_law(args.walk),
-                               harness.parse_lattice_law(args.scenery))
+        model = harness._parse_model("rwrs", {"walk": args.walk,
+                                              "scenery": args.scenery})
         law = rwrs.exact_rwrs_law(model, args.n)
         print("z probability")
         for z in sorted(law):

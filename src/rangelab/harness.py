@@ -16,6 +16,7 @@ commutative not just in theory but bit for bit.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -121,6 +122,8 @@ _MODEL_OUTPUTS = {
     "rwrs": ("zrange", "zspread", "vn", "vbeta", "zv", "escape"),
     "limit": ("sup", "inf", "spread", "y_sup", "y_spread"),
 }
+_MODEL_PARAMS = {"oriented": {"p"}, "rwrs": {"walk", "scenery"},
+                 "limit": {"walk", "scenery", "h"}}
 
 
 @dataclass(frozen=True)
@@ -142,9 +145,7 @@ class ExperimentSpec:
     threads: int = 1
 
     def __post_init__(self):
-        if self.model not in _MODEL_OUTPUTS:
-            raise ConfigError(f"unknown model {self.model!r}; "
-                              f"expected one of {sorted(_MODEL_OUTPUTS)}")
+        _parse_model(self.model, self.params)
         sizes = tuple(int(n) for n in self.sizes)
         if not sizes or any(n < 1 for n in sizes):
             raise ConfigError("sizes must be a nonempty list of positive integers")
@@ -166,7 +167,6 @@ class ExperimentSpec:
             raise ConfigError("threads must be at least 1")
         if self.horizon is not None and self.horizon < 1:
             raise ConfigError("horizon must be positive when given")
-        _build_trial_fn(self.model, dict(self.params))  # validates params
         budget = self.trials * sum(sizes)
         if budget > MAX_TOTAL_STEPS:
             raise ResourceCapError(
@@ -175,16 +175,6 @@ class ExperimentSpec:
         if max(sizes) > MAX_TRIAL_STEPS:
             raise ResourceCapError(f"size {max(sizes)} exceeds the per-trial "
                                    f"cap of {MAX_TRIAL_STEPS} steps")
-
-
-def _require_params(params: dict, required: set, optional: set = frozenset()):
-    keys = set(params)
-    missing = required - keys
-    unknown = keys - required - optional
-    if missing:
-        raise ConfigError(f"missing model parameters: {sorted(missing)}")
-    if unknown:
-        raise ConfigError(f"unknown model parameters: {sorted(unknown)}")
 
 
 def parse_lattice_law(text):
@@ -208,90 +198,78 @@ def parse_lattice_law(text):
         raise ConfigError(f"bad lattice law {text!r}: {exc}") from exc
 
 
-def _stable_law_from(params, what: str) -> StableLaw:
-    if not isinstance(params, dict):
-        raise ConfigError(f"{what} must be an object with index/a1/a2 fields")
-    _require_params(params, {"index", "a1"}, {"a2"})
+def _parse_model(model: str, params):
+    """Validate a model's params and return the model they describe: p for
+    the oriented walk, an RwrsModel for rwrs, and (walk law, scenery law,
+    h) for the limit model.  Every bad value is a ConfigError."""
+    if model not in _MODEL_PARAMS:
+        raise ConfigError(f"unknown model {model!r}; "
+                          f"expected one of {sorted(_MODEL_PARAMS)}")
+    if not isinstance(params, dict) or set(params) != _MODEL_PARAMS[model]:
+        raise ConfigError(f"{model} parameters must be an object with the keys "
+                          f"{sorted(_MODEL_PARAMS[model])}, got {params!r}")
     try:
-        return StableLaw(float(params["index"]), float(params["a1"]),
-                         float(params.get("a2", 0.0)))
-    except ValueError as exc:
-        raise ConfigError(f"bad {what}: {exc}") from exc
+        if model == "oriented":
+            p = float(params["p"])
+            if not 0.0 < p < 1.0:
+                raise ValueError(f"p must lie in (0, 1), got {p}")
+            return p
+        if model == "rwrs":
+            return rwrs.RwrsModel(parse_lattice_law(params["walk"]),
+                                  parse_lattice_law(params["scenery"]))
+        # a stable law is an object with the fields index, a1 and optional a2
+        walk, scenery = (StableLaw(**{k: float(v) for k, v in params[name].items()})
+                         for name in ("walk", "scenery"))
+        h = float(params["h"])
+        if not 0.0 < h < math.inf:
+            raise ValueError(f"cell width h must be positive and finite, got {h}")
+        if walk.index <= 1.0:
+            raise ValueError("the walk law needs an index above 1")
+        return walk, scenery, h
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {model} parameters: {exc}") from exc
 
 
-def _build_trial_fn(model: str, params: dict):
-    """Validate params and return f(size, seeds, outputs, horizon) ->
-    {statistic: values}, one value per trial seed of the uint64 array seeds."""
-    if model == "oriented":
-        _require_params(params, {"p"})
-        p = float(params["p"])
-        if not 0.0 < p < 1.0:
-            raise ConfigError(f"p must lie in (0, 1), got {p}")
+def _oriented_trials(p: float, n: int, seeds, outputs, horizon) -> dict:
+    sites, x_min, x_max, _, _, first_return = oriented._trial_block(
+        p, n, seeds, "range" in outputs, _BLOCK_STEPS)
+    return {"range": sites, "first_range": x_max - x_min + 1,
+            "first_spread": x_max - x_min,
+            "escape": _escapes(first_return, horizon or n)}
 
-        def run(n, seeds, outputs, horizon):
-            sites, x_min, x_max, _, _, first_return = oriented._trial_block(
-                p, n, seeds, "range" in outputs, _BLOCK_STEPS)
-            return {"range": sites, "first_range": x_max - x_min + 1,
-                    "first_spread": x_max - x_min,
-                    "escape": _escapes(first_return, horizon or n)}
 
-        return run
+def _rwrs_trials(model, n: int, seeds, outputs, horizon) -> dict:
+    z_min, z_max, _, distinct_z, vn, vbeta, zv, first_return = \
+        rwrs._trial_block(model, n, seeds, _BLOCK_STEPS)
+    return {"zrange": distinct_z, "zspread": z_max - z_min, "vn": vn,
+            "vbeta": vbeta, "zv": zv,
+            "escape": _escapes(first_return, horizon or n)}
 
-    if model == "rwrs":
-        _require_params(params, {"walk", "scenery"})
-        walk_law = parse_lattice_law(params["walk"])
-        scenery_law = parse_lattice_law(params["scenery"])
-        try:
-            model_obj = rwrs.RwrsModel(walk_law, scenery_law)
-        except ValueError as exc:
-            raise ConfigError(f"bad walk/scenery pair: {exc}") from exc
 
-        def run(n, seeds, outputs, horizon):
-            z_min, z_max, _, distinct_z, vn, vbeta, zv, first_return = \
-                rwrs._trial_block(model_obj, n, seeds, _BLOCK_STEPS)
-            return {"zrange": distinct_z, "zspread": z_max - z_min, "vn": vn,
-                    "vbeta": vbeta, "zv": zv,
-                    "escape": _escapes(first_return, horizon or n)}
-
-        return run
-
-    # limit model: sizes are mesh step counts
-    _require_params(params, {"walk", "scenery", "h"})
-    walk_law = _stable_law_from(params["walk"], "walk law")
-    scenery_law = _stable_law_from(params["scenery"], "scenery law")
-    h = float(params["h"])
-    if h <= 0.0:
-        raise ConfigError(f"cell width h must be positive, got {h}")
-    if walk_law.index <= 1.0:
-        raise ConfigError("limit model needs a walk index above 1")
-
-    def one(m, seed, outputs):
-        gen = RngStream(seed, 0).generator()
-        need_delta = bool({"sup", "inf", "spread"} & set(outputs))
-        out = {}
-        if need_delta:
-            delta = limit.sample_scenery_integral(walk_law, scenery_law, m, h, gen)
-            f = limit.path_functionals(delta)
-            if "sup" in outputs:
-                out["sup"] = f.sup
-            if "inf" in outputs:
-                out["inf"] = f.inf
-            if "spread" in outputs:
-                out["spread"] = f.spread
+def _limit_trials(model, m: int, seeds, outputs, horizon) -> dict:
+    # sizes are mesh step counts; a trial draws Delta from its stream 0
+    # and Y from its stream 1, each only when an output needs it
+    walk_law, scenery_law, h = model
+    out = {stat: [] for stat in outputs}
+    for seed in seeds.tolist():
+        f = {}
+        if {"sup", "inf", "spread"} & set(outputs):
+            d = limit.path_functionals(limit.sample_scenery_integral(
+                walk_law, scenery_law, m, h, RngStream(seed, 0)))
+            f.update(sup=d.sup, inf=d.inf, spread=d.spread)
         if {"y_sup", "y_spread"} & set(outputs):
-            y = limit.sample_stable_path(walk_law, m, RngStream(seed, 1).generator())
-            fy = limit.path_functionals(y)
-            if "y_sup" in outputs:
-                out["y_sup"] = fy.sup
-            if "y_spread" in outputs:
-                out["y_spread"] = fy.spread
-        return out
+            y = limit.path_functionals(
+                limit.sample_stable_path(walk_law, m, RngStream(seed, 1)))
+            f.update(y_sup=y.sup, y_spread=y.spread)
+        for stat in outputs:
+            out[stat].append(f[stat])
+    return out
 
-    def run(m, seeds, outputs, horizon):
-        trials = [one(m, int(seed), outputs) for seed in seeds]
-        return {stat: [t[stat] for t in trials] for stat in outputs}
 
-    return run
+# f(parsed model, size, seeds, outputs, horizon) -> {statistic: values},
+# one value per trial seed of the uint64 array seeds
+_TRIALS = {"oriented": _oriented_trials, "rwrs": _rwrs_trials,
+           "limit": _limit_trials}
 
 
 def _escapes(first_return, horizon):
@@ -313,7 +291,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     trials, at most _BLOCK_STEPS trial-steps in all or a single longer
     walk, and limit trials run one at a time.
     """
-    trial_fn = _build_trial_fn(spec.model, dict(spec.params))
+    model = _parse_model(spec.model, spec.params)
     results: dict = {}
     for n in spec.sizes:
         size_seed = mix64(spec.master_seed, _SIZE_TAG, n)
@@ -324,7 +302,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
             i1 = min(i0 + rows, spec.trials)
             # trial i's seed is mix64(size_seed, i)
             seeds = _mix64_vec(size_seed, np.arange(i0, i1, dtype=np.uint64))
-            out = trial_fn(n, seeds, spec.outputs, spec.horizon)
+            out = _TRIALS[spec.model](model, n, seeds, spec.outputs, spec.horizon)
             for stat in spec.outputs:
                 slots[stat][i0:i1] = out[stat]
 
@@ -357,23 +335,12 @@ def estimate_escape(model: str, params: dict, horizon: int, trials: int,
     if horizon > MAX_TRIAL_STEPS:
         raise ResourceCapError(f"horizon {horizon} exceeds the per-trial cap "
                                f"of {MAX_TRIAL_STEPS} steps")
-    if model == "oriented":
-        _require_params(params, {"p"})
-        survivors = oriented.no_return_count(float(params["p"]), horizon,
-                                             trials, master_seed)
-    elif model == "rwrs":
-        _require_params(params, {"walk", "scenery"})
-        walk_law = parse_lattice_law(params["walk"])
-        scenery_law = parse_lattice_law(params["scenery"])
-        try:
-            m = rwrs.RwrsModel(walk_law, scenery_law)
-        except ValueError as exc:
-            raise ConfigError(f"bad walk/scenery pair: {exc}") from exc
-        survivors = rwrs.no_return_z_count(m, horizon, trials, master_seed)
-    else:
+    if model not in ("oriented", "rwrs"):
         raise ConfigError(f"escape estimation is defined for walk models, "
                           f"not {model!r}")
-    return TrialStats.from_indicator(trials, survivors)
+    count = oriented.no_return_count if model == "oriented" else rwrs.no_return_z_count
+    return TrialStats.from_indicator(
+        trials, count(_parse_model(model, params), horizon, trials, master_seed))
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +430,7 @@ def expected_exponent(model: str, stat: str, params: dict) -> float | None:
         return {"range": 1.0, "first_range": 0.75, "first_spread": 0.75,
                 "escape": 0.0}.get(stat)
     if model == "rwrs":
-        m = rwrs.RwrsModel(parse_lattice_law(params["walk"]),
-                           parse_lattice_law(params["scenery"]))
+        m = _parse_model(model, params)
         a, b = m.alpha, m.beta
         if stat in ("zrange", "zspread"):
             grow = rwrs.scaling_exponent(a, b) if a > 1.0 else 1.0 / b

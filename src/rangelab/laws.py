@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
 
-from .rng import RngStream, _finalize_vec, as_generator, keyed_uniform, site_uniform
+from .rng import RngStream, _finalize_vec, _mix64_vec, as_generator, keyed_uniform
 
 # ---------------------------------------------------------------------------
 # stable laws
@@ -379,25 +379,28 @@ def _row_blocks(law: LatticeLaw, base: int, trials: int, n: int, chunk: int):
             yield np.arange(r, r + len(steps) // n), steps.reshape(-1, n)
 
 
+def _field_keys(seeds):
+    """The hash keys (mix64(seed, 0), mix64(seed, 1)) of the site field
+    seeded by each seed: an int, or a uint64 array for one field per row."""
+    return _mix64_vec(seeds, 0), _mix64_vec(seeds, 1)
+
+
 def lattice_at_sites(law: LatticeLaw, seed: int, sites) -> np.ndarray:
     """Lazy site-keyed draws: value at each site is a pure function of (seed, site).
 
     Revisiting a site always reproduces the same value, regardless of
     the order or batching of the queries.
     """
-    sites = np.asarray(sites, dtype=np.int64)
-    u0 = site_uniform(seed, sites, counter=0)
-    u1 = site_uniform(seed, sites, counter=1) if law.kind == "pareto_tail" else None
-    return _values_from_uniforms(law, u0, u1).astype(np.int64, copy=False)
+    values = lattice_at_keyed_sites(law, *_field_keys(seed), sites)
+    return values.astype(np.int64, copy=False)
 
 
 def lattice_at_keyed_sites(law: LatticeLaw, key0, key1, sites) -> np.ndarray:
     """Batched form of lattice_at_sites: one independent field per key row.
 
     key0 and key1 broadcast against sites (shape (m, 1) keys against
-    (m, n) sites evaluates m fields at once).  With scalar keys
-    mix64(seed, 0) and mix64(seed, 1) this reproduces lattice_at_sites
-    exactly.  Values come in the decoder's dtype, int8 for the bounded kinds.
+    (m, n) sites evaluates m fields at once); _field_keys gives them for
+    a seed.  Values come in the decoder's dtype, int8 for the bounded kinds.
     """
     if law.kind in _TWO_POINT:
         return _keyed_signs(key0, sites)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laws import StableLaw, _distinct, _local_times, sample_stable
+from .laws import StableLaw, _local_times, sample_stable
 from .rng import as_generator
 
 
@@ -116,11 +116,13 @@ def estimate_local_time(y_path: np.ndarray, h: float, t: float,
 
 
 def _draw_components(walk_law: StableLaw, scenery_law: StableLaw,
-                     m: int, h: float, gen) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stable path, its cell sequence, and dU per occupied cell.
+                     m: int, h: float, gen):
+    """Stable path, the local times of its cells, and dU per occupied cell.
 
-    The field draws attach to the sorted occupied cells, one h^(1/beta)
-    stable variate each; drawing them after the path keeps both pieces
+    The local times are _local_times of the cell sequence: the sorted
+    occupied cells, their visit counts and each step's index into them.
+    The field draws attach to the sorted cells, one h^(1/beta) stable
+    variate each; drawing them after the path keeps both pieces
     independent and the whole sample a deterministic function of the
     stream.
     """
@@ -130,11 +132,21 @@ def _draw_components(walk_law: StableLaw, scenery_law: StableLaw,
     if h <= 0.0:
         raise ValueError("cell width must be positive")
     y = sample_stable_path(walk_law, m, gen)
-    cells = _occupied_cells(y, h)
-    uniq = _distinct(cells)
-    du = sample_stable(scenery_law, gen, size=uniq.size) \
+    local = _local_times(_occupied_cells(y, h))
+    du = sample_stable(scenery_law, gen, size=local[0].size) \
         * h ** (1.0 / scenery_law.index)
-    return y, cells, (uniq, du)
+    return y, local, du
+
+
+def _cumulate(values: np.ndarray, m: int, h: float, t_grid) -> np.ndarray:
+    # (1/(mh)) * running sum of the per-step dU, on 0..m or at floor(t*m)
+    path = np.concatenate([[0.0], np.cumsum(values)]) / (m * h)
+    if t_grid is None:
+        return path
+    t = np.asarray(t_grid, dtype=float)
+    if ((t < 0.0) | (t > 1.0)).any():
+        raise ValueError("times must lie in [0, 1]")
+    return path[np.floor(t * m).astype(np.int64)]
 
 
 def integrate_field(cells: np.ndarray, field, m: int, h: float,
@@ -148,26 +160,21 @@ def integrate_field(cells: np.ndarray, field, m: int, h: float,
     idx = np.searchsorted(uniq, cells)
     if (idx >= uniq.size).any() or (uniq[idx] != cells).any():
         raise ValueError("a visited cell is missing from the field")
-    path = np.concatenate([[0.0], np.cumsum(du[idx])]) / (m * h)
-    if t_grid is None:
-        return path
-    t = np.asarray(t_grid, dtype=float)
-    if ((t < 0.0) | (t > 1.0)).any():
-        raise ValueError("times must lie in [0, 1]")
-    return path[np.floor(t * m).astype(np.int64)]
+    return _cumulate(du[idx], m, h, t_grid)
 
 
 def sample_scenery_integral(walk_law: StableLaw, scenery_law: StableLaw,
                             m: int, h: float, rng,
                             t_grid=None) -> np.ndarray:
-    """One sample path of the local-time integral Delta on the mesh.
+    """One sample path of the local-time integral Delta on the mesh, as
+    integrate_field gives it on the sampled cells and field.
 
     One field draw serves every time point, which is what ties the
     values at different t to the same realization.
     """
-    gen = as_generator(rng)
-    y, cells, field = _draw_components(walk_law, scenery_law, m, h, gen)
-    return integrate_field(cells, field, m, h, t_grid)
+    _, (_, _, inv), du = _draw_components(walk_law, scenery_law, m, h,
+                                          as_generator(rng))
+    return _cumulate(du[inv], m, h, t_grid)
 
 
 def build_limit_grid(walk_law: StableLaw, scenery_law: StableLaw,
@@ -177,10 +184,8 @@ def build_limit_grid(walk_law: StableLaw, scenery_law: StableLaw,
     Uses the same draw order as sample_scenery_integral, so the same
     stream yields the grid behind the same integral sample.
     """
-    gen = as_generator(rng)
-    y, cells, field = _draw_components(walk_law, scenery_law, m, h, gen)
-    uniq, du = field
-    _, cnt, _ = _local_times(cells)  # uniq holds exactly the visited cells
+    y, (uniq, cnt, _), du = _draw_components(walk_law, scenery_law, m, h,
+                                             as_generator(rng))
     scale = 1.0 / (m * h)
     return LimitGrid(
         time_mesh=np.arange(m + 1) / m,

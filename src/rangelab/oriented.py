@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .enumeration import marked_sum_law
-from .laws import (_BLOCK_STEPS, _distinct, _keyed_signs, _local_times,
+from .laws import (_BLOCK_STEPS, _distinct, _field_keys, _keyed_signs, _local_times,
                    _positions, _row_blocks, _row_counts, _values_from_uniforms,
                    lattice_at_sites, lazy_vertical, rademacher, sample_lattice)
 from .rng import _M64, RngStream, _mix64_vec, _uniform_rows, mix64, site_hash
@@ -306,8 +306,12 @@ def _batch_chunks(p: float, n: int, trials: int, base: int, tag: int,
 
 def _batch_endpoints(p: float, n: int, trials: int, base: int, tag: int):
     _check_p(p)
-    xs = np.empty(trials, dtype=np.int64)
-    ys = np.empty(trials, dtype=np.int64)
+    if n < 0 or trials < 0:
+        raise ValueError(f"n and trials must be nonnegative, got {n} and {trials}")
+    xs = np.zeros(trials, dtype=np.int64)
+    ys = np.zeros(trials, dtype=np.int64)
+    if n == 0:  # a walk of no steps ends at the origin
+        return xs, ys
     for c0, dx, y in _batch_chunks(p, n, trials, base, tag, _BATCH_CHUNK):
         xs[c0:c0 + len(y)] = dx.sum(axis=1, dtype=np.int64)
         ys[c0:c0 + len(y)] = y[:, -1]
@@ -338,8 +342,9 @@ def skew_product_endpoints(p: float, n: int, trials: int,
 def no_return_count(p: float, horizon: int, trials: int, master_seed: int) -> int:
     """Number of trials whose walk avoids the origin at all times 1..horizon."""
     _check_p(p)
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+    if horizon < 1 or trials < 0:
+        raise ValueError(f"horizon must be at least 1 and trials nonnegative, "
+                         f"got {horizon} and {trials}")
     survivors = 0
     for _, dx, y in _batch_chunks(p, horizon, trials,
                                   mix64(master_seed, _BATCH_TAG, horizon),
@@ -500,9 +505,8 @@ def _trial_block(p: float, n: int, seeds, sites: bool, chunk: int):
     """
     rows = len(seeds)
     walk = _mix64_vec(seeds, _WALK_TAG)
-    # annealed_environment's field: lattice_at_sites(rademacher(), seed', row)
-    # hashes the row under the key mix64(seed', 0)
-    keys = _mix64_vec(_mix64_vec(seeds, _ENV_TAG), 0)[:, None]
+    # the orientation field of annealed_environment at each seed
+    keys = _field_keys(_mix64_vec(seeds, _ENV_TAG))[0][:, None]
     x_end = y_end = x_min = x_max = first_return = np.zeros(rows, dtype=np.int64)
     seen = _row_counts(np.zeros((rows, 0), dtype=np.int64))
     for c0 in range(0, n, chunk):

@@ -72,17 +72,13 @@ def site_hash(seed: int, sites, counter: int = 0) -> np.ndarray:
     return _finalize_vec(np.asarray(sites, dtype=np.int64).view(np.uint64) ^ prefix)
 
 
-def site_uniform(seed: int, sites, counter: int = 0) -> np.ndarray:
-    """Uniform [0, 1) variates attached to lattice sites, 53-bit mantissa."""
-    return (site_hash(seed, sites, counter) >> np.uint64(11)) * 2.0**-53
-
-
 def keyed_uniform(keys, sites) -> np.ndarray:
-    """Uniforms from (key, site) pairs; keys broadcast against sites.
+    """Uniform [0, 1) variates with a 53-bit mantissa from (key, site)
+    pairs; keys broadcast against sites.
 
-    ``site_uniform(seed, sites, c)`` equals ``keyed_uniform(mix64(seed, c),
-    sites)``; the split form lets many independent fields (one key per
-    trial row) be evaluated in a single vectorized pass.
+    Under the key mix64(seed, c) a site's uniform reads the top bits of
+    ``site_hash(seed, site, c)``; one key per trial row evaluates many
+    independent fields in a single vectorized pass.
     """
     z = _finalize_vec(np.asarray(sites, dtype=np.int64).view(np.uint64)
                       ^ np.asarray(keys, dtype=np.uint64))
@@ -140,11 +136,6 @@ def _mix64_vec(*words) -> np.ndarray:
         state = _finalize_vec(np.asarray(w & _M64 if isinstance(w, int) else w,
                                          dtype=np.uint64) ^ state)
     return state
-
-
-def derive_stream(master_seed: int, stream_id: int) -> RngStream:
-    """Stream for trial ``stream_id`` of the experiment seeded by master_seed."""
-    return RngStream(master_seed, stream_id)
 
 
 def as_generator(rng) -> np.random.Generator:

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .enumeration import marked_sum_law
-from .laws import (_BLOCK_STEPS, LatticeLaw, _counts, _distinct, _local_times,
-                   _positions, _row_blocks, _row_counts, _run_counts,
+from .laws import (_BLOCK_STEPS, LatticeLaw, _counts, _distinct, _field_keys,
+                   _local_times, _positions, _row_blocks, _row_counts, _run_counts,
                    _values_from_uniforms, lattice_at_keyed_sites, lattice_at_sites,
                    lattice_support, sample_lattice, stable_index)
 from .rng import _M64, RngStream, _mix64_vec, _uniform_rows, mix64, site_hash
@@ -287,8 +287,9 @@ def no_return_z_count(model: RwrsModel, horizon: int, trials: int,
     through a pair of per-trial hash keys, so revisited sites within a
     trial reproduce their value while trials stay independent.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+    if horizon < 1 or trials < 0:
+        raise ValueError(f"horizon must be at least 1 and trials nonnegative, "
+                         f"got {horizon} and {trials}")
     survivors = 0
     base = mix64(master_seed, _BATCH_TAG, horizon)
     for ids, steps in _row_blocks(model.walk_law, base, trials, horizon,
@@ -347,9 +348,8 @@ def _trial_block(model: RwrsModel, n: int, seeds, chunk: int):
     """
     rows = len(seeds)
     walk = _mix64_vec(seeds, _WALK_TAG)
-    # lattice_at_sites(law, seed', sites) hashes under mix64(seed', 0 and 1)
-    scenery = _mix64_vec(seeds, _SCENERY_TAG)
-    key0, key1 = (_mix64_vec(scenery, c)[:, None] for c in (0, 1))
+    # the scenery field of simulate_rwrs at each seed
+    key0, key1 = (k[:, None] for k in _field_keys(_mix64_vec(seeds, _SCENERY_TAG)))
     s_end = z_end = z_min = z_max = first_return = np.zeros(rows, dtype=np.int64)
     sites = levels = _row_counts(np.zeros((rows, 0), dtype=np.int64))
     for c0 in range(0, n, chunk):

@@ -155,6 +155,22 @@ def test_exit_codes_for_broken_inputs(tmp_path, config_path):
                    "--set", "params.p") == 2  # not key=value
 
 
+STABLE = {"index": 2, "a1": 0.5}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"params": {"p": "abc"}},
+    {"params": {"p": None}},
+    {"model": "limit", "outputs": ["sup"],
+     "params": {"walk": STABLE, "scenery": STABLE, "h": "x"}},
+    {"model": "rwrs", "outputs": ["zrange"],
+     "params": {"walk": "simple", "scenery": "ternary:x"}},
+])
+def test_malformed_model_parameters_exit_two(tmp_path, config_path, overrides):
+    assert run_cli("run", "--config", config_path(overrides),
+                   "--out", str(tmp_path / "r")) == 2
+
+
 def test_budget_cap_exits_three(config_path):
     big = config_path(sizes=[20_000_000_001], trials=1, outputs=["range"])
     assert run_cli("run", "--config", big) == 3

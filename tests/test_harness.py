@@ -164,6 +164,28 @@ def test_spec_rejects_malformed_descriptions():
         orient_spec(horizon=0)
 
 
+STABLE = {"index": 2, "a1": 0.5}
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: orient_spec(params={"p": "abc"}), id="p-abc"),
+    pytest.param(lambda: orient_spec(params={"p": None}), id="p-null"),
+    pytest.param(lambda: ExperimentSpec(
+        model="limit", params={"walk": STABLE, "scenery": STABLE, "h": "x"},
+        sizes=[64], trials=2, outputs=["sup"]), id="h-x"),
+    pytest.param(lambda: ExperimentSpec(
+        model="rwrs", params={"walk": "simple", "scenery": "ternary:x"},
+        sizes=[8], trials=2, outputs=["zrange"]), id="scenery-ternary-x"),
+    pytest.param(lambda: estimate_escape("oriented", {"p": 1.5}, 10, 10, 0),
+                 id="escape-p-1.5"),
+    pytest.param(lambda: expected_exponent("rwrs", "zrange", {"walk": "simple"}),
+                 id="exponent-no-scenery"),
+])
+def test_malformed_model_parameters_are_config_errors(call):
+    with pytest.raises(ConfigError):
+        call()
+
+
 def test_spec_rejects_unsupported_scenery_model():
     with pytest.raises(ConfigError):
         ExperimentSpec(model="rwrs",
@@ -207,8 +229,9 @@ def test_limit_spec_validation():
                         "scenery": {"index": 2, "a1": 0.5}, "h": 0.125},
                 sizes=[64], trials=2, outputs=["spread"])
     ExperimentSpec(**good)
-    with pytest.raises(ConfigError):
-        ExperimentSpec(**{**good, "params": {**good["params"], "h": 0.0}})
+    for h in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            ExperimentSpec(**{**good, "params": {**good["params"], "h": h}})
     with pytest.raises(ConfigError):
         ExperimentSpec(**{
             **good,

@@ -222,6 +222,23 @@ def test_grid_reconstructs_the_same_integral_sample():
     assert np.allclose(rebuilt, delta, atol=1e-12)
 
 
+@pytest.mark.parametrize("m, h", [(4096, 1.0 / 64), (256, 1e-4)])
+def test_sampled_integral_equals_integrate_field_on_its_draws(m, h):
+    # the sampler reads each step's dU through its cells' local-time
+    # inverse, integrate_field looks every cell up again; narrow and wide
+    # cell spans take the bincount and the sort route to that inverse
+    scenery = StableLaw(1.5, 1.0)
+    grid = build_limit_grid(BROWNIAN, scenery, m, h, RngStream(67, m))
+    cells = np.floor(grid.y_path[1:] / h).astype(np.int64)
+    uniq = np.array(sorted(grid.u_increments), dtype=np.int64)
+    field = (uniq, np.array([grid.u_increments[int(c)] for c in uniq]))
+    t = [0.0, 0.3, 1.0]
+    for t_grid in (None, t):
+        delta = sample_scenery_integral(BROWNIAN, scenery, m, h,
+                                        RngStream(67, m), t_grid=t_grid)
+        assert np.array_equal(delta, integrate_field(cells, field, m, h, t_grid))
+
+
 def test_grid_bookkeeping_invariants():
     m, h = 256, 0.0625
     grid = build_limit_grid(BROWNIAN, BROWNIAN, m, h, RngStream(59, 2))

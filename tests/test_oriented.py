@@ -246,6 +246,22 @@ def test_zero_steps_path():
     assert range_sites(path) == 1
 
 
+def test_batch_samplers_at_zero_steps_and_negative_sizes():
+    # walks of no steps end where simulate_annealed(p, 0, seed) does
+    for sampler in (annealed_endpoints, skew_product_endpoints):
+        xs, ys = sampler(0.5, 0, 5, 1)
+        assert xs.tolist() == ys.tolist() == [0] * 5
+        for n, trials in ((-1, 5), (3, -1)):
+            with pytest.raises(ValueError):
+                sampler(0.5, n, trials, 1)
+    from rangelab.laws import rademacher, simple_symmetric
+    from rangelab.rwrs import RwrsModel, no_return_z_count
+    model = RwrsModel(simple_symmetric(), rademacher())
+    for count, law in ((no_return_count, 0.5), (no_return_z_count, model)):
+        with pytest.raises(ValueError):
+            count(law, 3, -1, 1)
+
+
 def test_annealed_step_one_is_horizontal_with_probability_p():
     n_trials = 100_000
     hor = sum(simulate_annealed(0.5, 1, seed).step_types[0] == H

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rangelab.laws import lattice_at_sites, rademacher
 from rangelab.rng import (RngStream, _mix64_vec, _uniform_rows, as_generator,
-                          derive_stream, mix64, site_hash, site_uniform)
+                          keyed_uniform, mix64, site_hash)
 
 # splitmix64 golden values; a change here would silently re-randomize
 # every experiment in the package, so they are pinned hard
@@ -85,17 +85,19 @@ def test_site_hash_is_a_pure_function_of_the_site(seed, sites):
 
 
 def test_site_uniform_range_and_determinism():
-    u = site_uniform(42, np.arange(100_000))
+    u = keyed_uniform(mix64(42, 0), np.arange(100_000))
     assert ((0.0 <= u) & (u < 1.0)).all()
-    again = site_uniform(42, np.arange(100_000))
+    again = keyed_uniform(mix64(42, 0), np.arange(100_000))
     assert (u == again).all()
+    # the top 53 bits of the site hash under counter 0
+    assert (u == (site_hash(42, np.arange(100_000)) >> np.uint64(11)) * 2.0**-53).all()
 
 
 def test_site_uniform_is_uniform():
     # 16-bin chi-square at N = 1e5: 4-sigma band on each bin would be
     # far looser than this aggregate check
     from scipy.stats import chisquare
-    u = site_uniform(7, np.arange(100_000))
+    u = keyed_uniform(mix64(7, 0), np.arange(100_000))
     counts = np.histogram(u, bins=16, range=(0.0, 1.0))[0]
     assert chisquare(counts).pvalue > 1e-3
 
@@ -109,8 +111,8 @@ def test_site_sign_values_and_balance():
 
 def test_different_counters_decorrelate():
     sites = np.arange(10_000)
-    a = site_uniform(3, sites, counter=0)
-    b = site_uniform(3, sites, counter=1)
+    a = keyed_uniform(mix64(3, 0), sites)
+    b = keyed_uniform(mix64(3, 1), sites)
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
 
 
@@ -121,8 +123,8 @@ def test_stream_is_reproducible():
 
 
 def test_distinct_stream_ids_differ():
-    a = derive_stream(5, 0).generator().random(8)
-    b = derive_stream(5, 1).generator().random(8)
+    a = RngStream(5, 0).generator().random(8)
+    b = RngStream(5, 1).generator().random(8)
     assert not (a == b).all()
 
 
