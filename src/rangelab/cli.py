@@ -25,6 +25,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import harness, oriented, rwrs
@@ -229,6 +230,7 @@ def _run_exact(args) -> int:
 # entry point
 
 
+@lru_cache(maxsize=None)  # one parser per process: parse_args leaves it as built
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="rangelab",

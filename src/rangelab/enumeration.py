@@ -5,21 +5,23 @@ on Z takes i.i.d. integer steps, certain steps mark a site, and the
 quantity of interest is a sum over sites of (i.i.d. site value) times
 (mark count at the site).  Step sequences are merged breadth-first by
 (position, mark profile), and under a symmetric step law also with the
-mirror image.  The profiles are then grouped by what the marked sum's
-law depends on: the position and the multiset of positive mark counts.
-Only one convolution with the site values runs per group (at horizon
-12, 510 groups for the oriented walk's 10,474 merged profiles, 20,927
-without the mirror).
+mirror image, then grouped by position and the multiset of positive
+counts, on which the marked sum's law depends.  When every step marks,
+each group convolves the site values once.  When only holds mark, the
+profiles are the visits of the walk without its holds, over which each
+group spreads the holds (at horizon 12, 194 visit multisets in place of
+10,474 merged hold profiles).
 
-Probabilities are float64 throughout; the DP performs only additions
-and multiplications of nonnegative numbers, so the total mass stays
-within a few ulp of 1.
+Probabilities are float64 throughout and the DP only adds and multiplies
+nonnegative numbers, so the total mass stays within a few ulp of 1.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from functools import lru_cache
+
+import numpy as np
 
 
 def profile_states(steps: tuple[tuple[int, float], ...], n: int,
@@ -37,8 +39,14 @@ def profile_states(steps: tuple[tuple[int, float], ...], n: int,
     image (-position, -(lo + len(counts) - 1), counts reversed) merge:
     the smaller of the two is kept with the weight of both.
     """
+    return deque(_profile_layers(steps, n, mark_moves), maxlen=1).pop()
+
+
+def _profile_layers(steps, n: int, mark_moves: bool):
+    """Yield profile_states(steps, k, mark_moves) for k = 0..n in one pass."""
     mirror = _symmetric(steps)
     states: dict = {(0, 0, ()): 1.0}
+    yield states
     for _ in range(n):
         nxt: dict = defaultdict(float)
         for (pos, lo, counts), w in states.items():
@@ -50,8 +58,8 @@ def profile_states(steps: tuple[tuple[int, float], ...], n: int,
                 if mirror:
                     state = min(state, (-site, 1 - lo2 - len(c2) if c2 else 0, c2[::-1]))
                 nxt[state] += w * q
-        states = nxt
-    return dict(states)
+        states = dict(nxt)
+        yield states
 
 
 def _symmetric(steps) -> bool:
@@ -91,14 +99,14 @@ def _value_distribution_cached(counts, site_values):
     return dist
 
 
-def marked_sum_law(steps, n: int, mark_moves: bool,
-                   site_values) -> dict:
+def marked_sum_law(steps, n: int, mark_moves: bool, site_values) -> dict:
     """Joint law of (marked sum, final position) after n steps.
 
     Returns {(value, position): probability}.
     """
-    steps = tuple(steps)
-    site_values = tuple(site_values)
+    steps, site_values = tuple(steps), tuple(site_values)
+    if not mark_moves:
+        return _hold_law(steps, n, site_values)
     # a merged mirror pair's weight splits evenly between the two
     # positions: the marked sum's law depends on the multiset of counts only
     signs = (1, -1) if _symmetric(steps) else (1,)
@@ -115,3 +123,48 @@ def marked_sum_law(steps, n: int, mark_moves: bool,
         for val, q in value_distribution(counts, site_values).items():
             out[(val, pos)] += w * q
     return dict(out)
+
+
+def _hold_law(steps, n: int, site_values) -> dict:
+    """marked_sum_law when only holds mark: n - V holds spread over the
+    V + 1 visits (time 0 and after each move) of a V-move skeleton.
+
+    Skeletons group by position and sorted visit counts; a group's law is
+    a product over rows, kept as a table with one axis per site value:
+    [i_1, .., i_k] weighs the ways i_a holds fall on rows of value a.  A
+    visit takes any number of holds (L, the lower triangle of ones), so a
+    row visited l times applies L^l along each value's axis, weighted by
+    its probability.  Tables are built prefix by prefix, once per call.
+    """
+    hold = sum(q for d, q in steps if d == 0)
+    moves = tuple((d, q) for d, q in steps if d)
+    k = len(site_values)
+    values = [v for v, _ in site_values]
+    reach = n * max((abs(d) for d, _ in moves), default=0)
+    top = n * max(map(abs, values))
+    upper = np.triu(np.ones((n + 1, n + 1)))  # L transposed: acts on the last axis
+    powers = {l: np.linalg.matrix_power(upper, l) for l in range(1, n + 2)}
+
+    @lru_cache(maxsize=None)
+    def table(visits):
+        if not visits:
+            return np.pad(np.ones((1,) * k), (0, n))
+        a, u = table(visits[:-1]), powers[visits[-1]]
+        return sum(q * np.swapaxes(np.swapaxes(a, i, -1) @ u, i, -1)
+                   for i, (_, q) in enumerate(site_values))
+
+    idx = np.indices((n + 1,) * k).reshape(k, -1)
+    onto = (np.array(values) @ idx + top)[:, None] == np.arange(2 * top + 1)
+    law = np.zeros((2 * reach + 1, 2 * top + 1))
+    for holds, layer in zip(range(n, -1, -1), _profile_layers(moves, n, True)):
+        weights: dict = defaultdict(lambda: [0.0] * (2 * reach + 1))
+        for (pos, lo, counts), w in layer.items():
+            visits = _mark(lo, counts, 0)[1]
+            weights[tuple(sorted(c for c in visits if c))][reach + pos] += w
+        on = idx.sum(axis=0) == holds
+        tables = np.array([table(visits).reshape(-1)[on] for visits in weights])
+        law += hold ** holds * (np.array([*weights.values()]).T @ (tables @ onto[on]))
+    if _symmetric(moves):  # a merged mirror pair splits evenly between ±position
+        law = (law + law[::-1]) / 2
+    return {(x - top, pos - reach): float(w)
+            for (pos, x), w in np.ndenumerate(law) if w}

@@ -20,6 +20,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.stats import norm
@@ -110,8 +111,12 @@ class TrialStats:
         """Normal-approximation half-width; None when one trial cannot say."""
         if self.count < 2:
             return None
-        z = float(norm.ppf(0.5 + confidence / 2.0))
-        return z * (self.sample_variance / self.count) ** 0.5
+        return _normal_quantile(confidence) * (self.sample_variance / self.count) ** 0.5
+
+
+@lru_cache(maxsize=16)
+def _normal_quantile(confidence: float) -> float:
+    return float(norm.ppf(0.5 + confidence / 2.0))
 
 
 # ---------------------------------------------------------------------------

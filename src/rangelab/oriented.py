@@ -370,9 +370,9 @@ def _exact_law_cached(p: float, n: int) -> dict:
 def exact_annealed_law(p: float, n: int) -> dict:
     """Exact annealed law of (x_n, y_n) as {(x, y): probability}.
 
-    Step sequences are merged by their per-row horizontal-move profile;
-    conditionally on the profile the endpoint's first coordinate is a
-    sum of independent signed counts, one per visited row.
+    Vertical-move sequences are merged by their per-row visit profile and
+    the holds spread over the visits; given each row's hold count, the
+    first coordinate is a sum of independent signed counts, one per row.
     """
     _check_p(p)
     if not 0 <= n <= ENUMERATION_CAP:

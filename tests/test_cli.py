@@ -264,6 +264,28 @@ def test_exact_caps_and_bad_parameters(capsys):
     capsys.readouterr()  # drop partial output
 
 
+def test_calls_in_one_process_answer_as_separate_processes(tmp_path, capsys):
+    # the parser is built once per process; a call must not leak into the next
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**BASE, "typo": 1}))
+    calls = [["exact", "rwrs-law", "--walk", "lazy:0.3", "--n", "3"],
+             ["run", "--config", str(bad)],
+             ["exact", "rwrs-law", "--n", "3"]]
+    here = []
+    for argv in calls:
+        code = main(argv)
+        here.append((code, capsys.readouterr().out))
+    src = str(Path(rangelab.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    apart = [subprocess.run([sys.executable, "-m", "rangelab", *argv],
+                            capture_output=True, text=True, env=env) for argv in calls]
+    assert [code for code, _ in here] == [0, 2, 0]
+    assert here == [(out.returncode, out.stdout) for out in apart]
+    assert here[0][1] != here[2][1]  # the second call fell back to the simple walk
+    assert cli._build_parser() is cli._build_parser()
+
+
 @pytest.mark.skipif(shutil.which("rangelab") is None,
                     reason="console script not on PATH")
 def test_installed_script_answers():

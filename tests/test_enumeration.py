@@ -144,3 +144,56 @@ def test_value_distribution_convolves():
     dist = value_distribution((1, 2), SIGNS)
     assert dist == pytest.approx({-3: 0.25, -1: 0.25, 1: 0.25, 3: 0.25})
     assert value_distribution((), SIGNS) == {0: 1.0}
+
+
+def profile_marked_sum_law(steps, n, mark_moves, site_values):
+    """marked_sum_law by the mark-profile DP alone: the grouped profile
+    convolution, applied to hold marks as well as to move marks."""
+    steps, site_values = tuple(steps), tuple(site_values)
+    signs = (1, -1) if symmetric(steps) else (1,)
+    groups = defaultdict(float)
+    for (pos, _, counts), w in profile_states(steps, n, mark_moves).items():
+        key = tuple(sorted(c for c in counts if c))
+        for sign in signs:
+            groups[(sign * pos, key)] += w / len(signs)
+    out = defaultdict(float)
+    for (pos, counts), w in groups.items():
+        for val, q in value_distribution(counts, site_values).items():
+            out[(val, pos)] += w * q
+    return dict(out)
+
+
+def lazy(p):
+    return ((0, p), (1, (1 - p) / 2), (-1, (1 - p) / 2))
+
+
+@pytest.mark.parametrize("p", [0.2, 0.37, 0.5, 0.83])
+def test_hold_route_matches_the_profile_dp(p):
+    for n in range(11):
+        got = marked_sum_law(lazy(p), n, False, SIGNS)
+        want = profile_marked_sum_law(lazy(p), n, False, SIGNS)
+        assert set(got) == set(want)
+        for key in want:
+            assert got[key] == pytest.approx(want[key], rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("steps,values,n", [
+    (lazy(0.3), TERN, 7),
+    (JUMPY, SIGNS, 7),
+    (JUMPY, TERN, 6),
+    (((0, 0.2), (1, 0.5), (-2, 0.3)), ((3, 0.6), (-1, 0.4)), 7),
+    (SIMPLE, SIGNS, 5),  # no holds: every sum is 0
+])
+def test_hold_route_for_other_step_and_site_laws(steps, values, n):
+    got = marked_sum_law(steps, n, False, values)
+    want = profile_marked_sum_law(steps, n, False, values)
+    assert set(got) == set(want)
+    for key in want:
+        assert got[key] == pytest.approx(want[key], rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("n", [10, 12, 13])
+def test_hold_route_at_one_half_is_the_profile_dp_exactly(n):
+    # every weight is a dyadic rational that float64 holds exactly
+    assert marked_sum_law(lazy(0.5), n, False, SIGNS) == \
+        profile_marked_sum_law(lazy(0.5), n, False, SIGNS)
