@@ -144,15 +144,7 @@ def _hold_law(steps, n: int, site_values) -> dict:
     top = n * max(map(abs, values))
     upper = np.triu(np.ones((n + 1, n + 1)))  # L transposed: acts on the last axis
     powers = {l: np.linalg.matrix_power(upper, l) for l in range(1, n + 2)}
-
-    @lru_cache(maxsize=None)
-    def table(visits):
-        if not visits:
-            return np.pad(np.ones((1,) * k), (0, n))
-        a, u = table(visits[:-1]), powers[visits[-1]]
-        return sum(q * np.swapaxes(np.swapaxes(a, i, -1) @ u, i, -1)
-                   for i, (_, q) in enumerate(site_values))
-
+    tables = {(): np.pad(np.ones((1,) * k), (0, n))}
     idx = np.indices((n + 1,) * k).reshape(k, -1)
     onto = (np.array(values) @ idx + top)[:, None] == np.arange(2 * top + 1)
     law = np.zeros((2 * reach + 1, 2 * top + 1))
@@ -161,9 +153,16 @@ def _hold_law(steps, n: int, site_values) -> dict:
         for (pos, lo, counts), w in layer.items():
             visits = _mark(lo, counts, 0)[1]
             weights[tuple(sorted(c for c in visits if c))][reach + pos] += w
+        for visits in weights:
+            for j in range(len(visits)):
+                if visits[:j + 1] not in tables:
+                    a, u = tables[visits[:j]], powers[visits[j]]
+                    tables[visits[:j + 1]] = sum(
+                        q * np.swapaxes(np.swapaxes(a, i, -1) @ u, i, -1)
+                        for i, (_, q) in enumerate(site_values))
         on = idx.sum(axis=0) == holds
-        tables = np.array([table(visits).reshape(-1)[on] for visits in weights])
-        law += hold ** holds * (np.array([*weights.values()]).T @ (tables @ onto[on]))
+        spread = np.array([tables[visits].reshape(-1)[on] for visits in weights])
+        law += hold ** holds * (np.array([*weights.values()]).T @ (spread @ onto[on]))
     if _symmetric(moves):  # a merged mirror pair splits evenly between ±position
         law = (law + law[::-1]) / 2
     return {(x - top, pos - reach): float(w)
