@@ -12,13 +12,15 @@ import numpy as np
 import pytest
 
 from rangelab.harness import _MODEL_OUTPUTS, ExperimentSpec, run_experiment
-from rangelab.laws import (lazy_vertical, pareto_tail, rademacher,
-                           sample_lattice, simple_symmetric, ternary)
+from rangelab.laws import (StableLaw, lazy_vertical, pareto_tail, rademacher,
+                           sample_lattice, sample_stable, simple_symmetric,
+                           ternary)
+from rangelab.limit import sample_scenery_integral, sample_stable_path
 from rangelab.oriented import (Environment, annealed_endpoints,
                                annealed_range_stats, no_return_count,
                                simulate_annealed, simulate_quenched,
                                skew_product_endpoints, skew_product_path)
-from rangelab.rng import RngStream
+from rangelab.rng import RngStream, as_generator
 from rangelab.rwrs import (RwrsModel, no_return_z_count, rwrs_range_stats,
                            simulate_rwrs)
 
@@ -27,6 +29,15 @@ SIZES = (0, 1, 5, 1000)
 PS = (0.2, 0.5, 0.9)
 LAWS = (rademacher(), simple_symmetric(), ternary(0.3), lazy_vertical(0.5),
         ternary(0.0), pareto_tail(1.5), pareto_tail(0.7))
+# per index class: scales a1 and, off the symmetric indexes, both signs of a2
+STABLE_LAWS = {
+    "index2": (StableLaw(2.0, 0.5), StableLaw(2.0, 1.0), StableLaw(2.0, 3.7)),
+    "index1": (StableLaw(1.0, 0.5), StableLaw(1.0, 1.0), StableLaw(1.0, 3.7)),
+    "skewed_1_2": (StableLaw(1.5, 1.0, 0.4), StableLaw(1.5, 2.0, -1.2),
+                   StableLaw(1.7, 0.5)),
+    "below_1": (StableLaw(0.7, 1.0, -0.9), StableLaw(0.7, 0.3),
+                StableLaw(0.4, 2.0, 0.5)),
+}
 MODELS = (RwrsModel(simple_symmetric(), rademacher()),
           RwrsModel(lazy_vertical(0.3), ternary(0.3)),
           RwrsModel(ternary(0.0), pareto_tail(1.5)),
@@ -184,6 +195,16 @@ HARNESS_RUNS = {
              (WALK_PAIRS[3], (1000,), 1100, 10 ** 6),
              (WALK_PAIRS[1], (1 << 20, (1 << 20) + 1), 1, 3),
              (WALK_PAIRS[2], (1 << 20, (1 << 20) + 1), 1, None)],
+    # walk and scenery laws as objects; sizes are mesh step counts
+    "limit": [({"walk": {"index": 2.0, "a1": 0.5},
+                "scenery": {"index": 2.0, "a1": 0.5}, "h": 0.125},
+               (1, 5, 300), 7, None),
+              ({"walk": {"index": 1.5, "a1": 1.0, "a2": 0.4},
+                "scenery": {"index": 1.0, "a1": 2.0}, "h": 0.5},
+               (1, 5, 300), 3, None),
+              ({"walk": {"index": 2.0, "a1": 1.0},
+                "scenery": {"index": 0.7, "a1": 1.0, "a2": -0.9}, "h": 0.25},
+               (1, 300), 3, None)],
 }
 
 
@@ -197,6 +218,37 @@ def harness_parts(model):
                 # the exact sums as text: "p/q", or "p" when integral
                 line = f"{n} {stat} {st.count} {st.total} {st.total_sq}"
                 yield np.frombuffer(line.encode(), dtype=np.uint8)
+
+
+def sample_stable_parts(laws):
+    # the draw after each call pins how far the call moved the stream
+    for seed in SEEDS:
+        for law in laws:
+            for size in (None, 0, 1, 5, 1000):
+                for gen in (as_generator(RngStream(seed, 2)),
+                            np.random.default_rng(seed)):
+                    yield sample_stable(law, gen, size=size)
+                    yield gen.random()
+
+
+LIMIT_LAWS = (StableLaw(2.0, 0.5), StableLaw(1.5, 1.0, 0.4), StableLaw(1.0, 1.0),
+              StableLaw(0.7, 1.0, -0.9))
+
+
+def sample_stable_path_parts():
+    for seed in SEEDS:
+        for law in LIMIT_LAWS:
+            for m in (1, 5, 1000):
+                yield sample_stable_path(law, m, RngStream(seed, 4))
+
+
+def sample_scenery_integral_parts():
+    for seed in SEEDS:
+        for walk in LIMIT_LAWS[:2]:
+            for scenery in LIMIT_LAWS:
+                for m, h in ((1, 1.0), (5, 0.5), (1000, 1.0 / 16.0)):
+                    yield sample_scenery_integral(walk, scenery, m, h,
+                                                  RngStream(seed, 5))
 
 
 def sample_lattice_parts():
@@ -218,6 +270,9 @@ CASES = {
     "harness_rwrs": (
         lambda: harness_parts("rwrs"),
         "2163cdd8aef45c26d57beea78babb943b0239d18b18667f944b0e015b9ba725d"),
+    "harness_limit": (
+        lambda: harness_parts("limit"),
+        "4cafb344523aacff2a670e8e5594db0f2dc11b653a28c8ab15e7b4aa2fbfde02"),
     "annealed_endpoints": (
         annealed_endpoints_parts,
         "4e9ed89f180cf773802c3ffcdf5ce2cc3eb2598476387b30b8ae677e36bf7644"),
@@ -236,6 +291,24 @@ CASES = {
     "sample_lattice": (
         sample_lattice_parts,
         "d4660cfcdc764d322ac57a5e95f1688a44b2c3454ab55d475723f42a7a136b3b"),
+    "sample_scenery_integral": (
+        sample_scenery_integral_parts,
+        "093047dc7fb559af593fec0dc66f396975dc0815e9f4a83d1ea43805d560d5fb"),
+    "sample_stable_below_1": (
+        lambda: sample_stable_parts(STABLE_LAWS["below_1"]),
+        "df6beeffb6413197ec3d148f3d2eb74a9c3a5bf401e2933133973191275dcb5b"),
+    "sample_stable_index1": (
+        lambda: sample_stable_parts(STABLE_LAWS["index1"]),
+        "cef53ff2cf22e75740fcdce27817a94659d2852003c497e0547a1e59f161bca5"),
+    "sample_stable_index2": (
+        lambda: sample_stable_parts(STABLE_LAWS["index2"]),
+        "e82edd7bea970696519e062b2434929573f67821f1e1d776497431fc9e742161"),
+    "sample_stable_path": (
+        sample_stable_path_parts,
+        "28e3fe547211dc2f443d000156da81085ef20b02231f8330ad19765c770dd13a"),
+    "sample_stable_skewed_1_2": (
+        lambda: sample_stable_parts(STABLE_LAWS["skewed_1_2"]),
+        "3111203bcf903147d5cab0aeca9ea1d9719609019bd1c97cbe2edee1676b399c"),
     "simulate_annealed": (
         simulate_annealed_parts,
         "134053cfb874277355f69b086ba0582d345ad672621dfa5b139629f5aec1fc98"),
