@@ -85,9 +85,12 @@ def sample_stable(law: StableLaw, rng, size: int | None = None):
               * (cos(V - index*(V + theta0)) / W)^((1-index)/index)
 
     is standard stable with the given skewness; multiplying by the scale
-    gives the target law.  The same formula covers index = 1 (symmetric,
-    where it degenerates to tan V) and index = 2 (where it degenerates
-    to 2 sin(V) sqrt(W), a centered Gaussian of variance 2).
+    gives the target law.  At index 2 the formula collapses to 2 sin(V)
+    sqrt(W), a centered Gaussian of variance 2, and at index 1 (symmetric
+    only) to tan(V); both are evaluated in that closed form, which agrees
+    with the general one to the last bits.  V and W are always drawn, in
+    that order and W even at index 1, so a call moves the stream by the
+    same amount at every index.
 
     Returns a scalar when size is None, else an ndarray of that length.
     """
@@ -97,16 +100,24 @@ def sample_stable(law: StableLaw, rng, size: int | None = None):
     a = law.index
     v = gen.uniform(-math.pi / 2.0, math.pi / 2.0, n)
     w = gen.standard_exponential(n)
-    if skew == 0.0:
-        theta0 = 0.0
-        tilt = 1.0
+    if a == 2.0:
+        x = np.sin(v)
+        x *= np.sqrt(w, out=w)
+        x *= 2.0 * scale
+    elif a == 1.0:
+        x = np.tan(v, out=v)
+        x *= scale
     else:
-        t = skew * math.tan(math.pi * a / 2.0)
-        theta0 = math.atan(t) / a
-        tilt = (1.0 + t * t) ** (1.0 / (2.0 * a))
-    x = (tilt * np.sin(a * (v + theta0)) / np.cos(v) ** (1.0 / a)
-         * (np.cos(v - a * (v + theta0)) / w) ** ((1.0 - a) / a))
-    x = scale * x
+        if skew == 0.0:
+            theta0 = 0.0
+            tilt = 1.0
+        else:
+            t = skew * math.tan(math.pi * a / 2.0)
+            theta0 = math.atan(t) / a
+            tilt = (1.0 + t * t) ** (1.0 / (2.0 * a))
+        x = (tilt * np.sin(a * (v + theta0)) / np.cos(v) ** (1.0 / a)
+             * (np.cos(v - a * (v + theta0)) / w) ** ((1.0 - a) / a))
+        x = scale * x
     return float(x[0]) if size is None else x
 
 

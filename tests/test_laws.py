@@ -91,6 +91,34 @@ def test_scalar_draw_is_a_reproducible_float():
     assert isinstance(a, float) and a == b
 
 
+def polar_sample_stable(law, gen, size=None):
+    """sample_stable by the general polar formula at every index, with the
+    skew factors of a symmetric law (index 1 and 2 admit no other)."""
+    n = 1 if size is None else size
+    a = law.index
+    v = gen.uniform(-math.pi / 2.0, math.pi / 2.0, n)
+    w = gen.standard_exponential(n)
+    x = (np.sin(a * v) / np.cos(v) ** (1.0 / a)
+         * (np.cos(v - a * v) / w) ** ((1.0 - a) / a))
+    x = law.a1 ** (1.0 / a) * x
+    return float(x[0]) if size is None else x
+
+
+@pytest.mark.parametrize("index", [2.0, 1.0])
+@pytest.mark.parametrize("a1", [0.5, 1.0, 3.7])
+def test_closed_forms_match_the_polar_formula(index, a1):
+    law = StableLaw(index, a1)
+    for size in (1 << 16, None, 0):
+        gen = RngStream(106, 0).generator()
+        ref = RngStream(106, 0).generator()
+        got = np.asarray(sample_stable(law, gen, size=size))
+        want = np.asarray(polar_sample_stable(law, ref, size=size))
+        assert got.shape == want.shape
+        assert (np.abs(got - want) <= 1e-15 * np.abs(want)).all()
+        assert gen.random() == ref.random()  # the stream moved equally far
+    assert isinstance(sample_stable(law, RngStream(106, 0)), float)
+
+
 # ---------------------------------------------------------------------------
 # lattice laws
 

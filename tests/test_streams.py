@@ -272,7 +272,7 @@ CASES = {
         "2163cdd8aef45c26d57beea78babb943b0239d18b18667f944b0e015b9ba725d"),
     "harness_limit": (
         lambda: harness_parts("limit"),
-        "4cafb344523aacff2a670e8e5594db0f2dc11b653a28c8ab15e7b4aa2fbfde02"),
+        "943153a8f4613a16b9376f11a39d00b69b8a3984ea4c88c975aff33c63137fe5"),
     "annealed_endpoints": (
         annealed_endpoints_parts,
         "4e9ed89f180cf773802c3ffcdf5ce2cc3eb2598476387b30b8ae677e36bf7644"),
@@ -293,19 +293,19 @@ CASES = {
         "d4660cfcdc764d322ac57a5e95f1688a44b2c3454ab55d475723f42a7a136b3b"),
     "sample_scenery_integral": (
         sample_scenery_integral_parts,
-        "093047dc7fb559af593fec0dc66f396975dc0815e9f4a83d1ea43805d560d5fb"),
+        "2a0555ca89be3063ef24e2765b9438d8dcf1b852b239f36b9c2579c5e31660f8"),
     "sample_stable_below_1": (
         lambda: sample_stable_parts(STABLE_LAWS["below_1"]),
         "df6beeffb6413197ec3d148f3d2eb74a9c3a5bf401e2933133973191275dcb5b"),
     "sample_stable_index1": (
         lambda: sample_stable_parts(STABLE_LAWS["index1"]),
-        "cef53ff2cf22e75740fcdce27817a94659d2852003c497e0547a1e59f161bca5"),
+        "2c99ed071a27c255f0e95ed9c33a0bb116e0dda19e2e4786c23c05f794934187"),
     "sample_stable_index2": (
         lambda: sample_stable_parts(STABLE_LAWS["index2"]),
-        "e82edd7bea970696519e062b2434929573f67821f1e1d776497431fc9e742161"),
+        "996c364eeca26d0c62310f830ca96e275291ba954f67a6d132abdbc7e742456e"),
     "sample_stable_path": (
         sample_stable_path_parts,
-        "28e3fe547211dc2f443d000156da81085ef20b02231f8330ad19765c770dd13a"),
+        "ed6f975dca12768b2270e9268bc96b90703e50e0fb5953f55a834a33f629f7e8"),
     "sample_stable_skewed_1_2": (
         lambda: sample_stable_parts(STABLE_LAWS["skewed_1_2"]),
         "3111203bcf903147d5cab0aeca9ea1d9719609019bd1c97cbe2edee1676b399c"),
