@@ -86,6 +86,9 @@ def _load_config(path: str) -> dict:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    # checked before the command-line overrides index into it
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
     return raw
 
 

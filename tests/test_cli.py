@@ -155,6 +155,17 @@ def test_exit_codes_for_broken_inputs(tmp_path, config_path):
                    "--set", "params.p") == 2  # not key=value
 
 
+@pytest.mark.parametrize("command", ["run", "scaling"])
+@pytest.mark.parametrize("override", [["--out", "r"], ["--seed", "3"],
+                                      ["--set", "trials=2"]])
+def test_non_object_config_exits_two_under_overrides(tmp_path, monkeypatch,
+                                                     command, override):
+    monkeypatch.chdir(tmp_path)
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    assert run_cli(command, "--config", str(listed), *override) == 2
+
+
 STABLE = {"index": 2, "a1": 0.5}
 
 
