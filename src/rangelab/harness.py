@@ -1,5 +1,5 @@
 """Monte Carlo experiment harness: validated specs, mergeable statistics,
-deterministic parallel trials, scaling fits and convergence diagnostics.
+deterministic parallel trials, batch escape estimates and scaling fits.
 
 Determinism contract: trial i of size n draws from the stream
 (mix of master seed and n, i), so results are a pure function of the
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -349,7 +349,7 @@ def estimate_escape(model: str, params: dict, horizon: int, trials: int,
 
 
 # ---------------------------------------------------------------------------
-# fits and diagnostics
+# scaling fits
 
 
 @dataclass(frozen=True)
@@ -389,44 +389,6 @@ def scaling_fit(sizes, values) -> ScalingFit:
     stderr = (rss / dof / sxx) ** 0.5 if dof > 0 else 0.0
     return ScalingFit(slope=float(coef[0]), intercept=float(coef[1]),
                       residual_norm=rss ** 0.5, slope_stderr=stderr)
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Per-size means with dispersion, plus the two headline verdicts."""
-
-    rows: tuple  # (size, mean, ci_half, std)
-    dispersion_shrinks: bool
-    mutually_consistent: bool
-
-
-def convergence_diagnostic(samples: dict, band: float = 3.0) -> ConvergenceReport:
-    """Summarize per-size sample arrays of a normalized statistic.
-
-    dispersion_shrinks compares the largest size's standard deviation to
-    the smallest's; mutually_consistent checks every pair of means
-    against ``band`` times their combined standard errors.
-    """
-    if len(samples) < 2:
-        raise ValueError("need at least two sizes to diagnose convergence")
-    rows = []
-    for n in sorted(samples):
-        v = np.asarray(samples[n], dtype=float)
-        if v.size < 2:
-            raise ValueError("each size needs at least two samples")
-        se = v.std(ddof=1) / v.size ** 0.5
-        rows.append((int(n), float(v.mean()), float(2.576 * se),
-                     float(v.std(ddof=1))))
-    shrinks = rows[-1][3] < rows[0][3]
-    consistent = True
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            gap = abs(rows[i][1] - rows[j][1])
-            allowance = band * ((rows[i][2] + rows[j][2]) / 2.576)
-            if gap > allowance:
-                consistent = False
-    return ConvergenceReport(rows=tuple(rows), dispersion_shrinks=shrinks,
-                             mutually_consistent=consistent)
 
 
 def expected_exponent(model: str, stat: str, params: dict) -> float | None:

@@ -1,4 +1,4 @@
-"""Experiment harness: exact statistics, determinism, fits, diagnostics."""
+"""Experiment harness: exact statistics, determinism, fits, intervals."""
 
 import math
 from fractions import Fraction
@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from rangelab import harness
 from rangelab.harness import (_MODEL_OUTPUTS, _SIZE_TAG, MAX_TOTAL_STEPS,
-                              MAX_TRIAL_STEPS, ConfigError, ConvergenceReport,
-                              ExperimentSpec, ResourceCapError, ScalingFit,
-                              TrialStats, convergence_diagnostic,
+                              MAX_TRIAL_STEPS, ConfigError, ExperimentSpec,
+                              ResourceCapError, ScalingFit, TrialStats,
                               estimate_escape, expected_exponent,
                               parse_lattice_law, run_experiment, scaling_fit)
 from rangelab.laws import pareto_tail, rademacher, simple_symmetric, ternary
@@ -434,7 +433,7 @@ def test_escape_validation_and_cap():
 
 
 # ---------------------------------------------------------------------------
-# fits and diagnostics
+# fits and intervals
 
 
 def test_fit_recovers_an_exact_power_law():
@@ -462,38 +461,6 @@ def test_fit_input_validation():
         scaling_fit([0, 20, 30], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         scaling_fit([10, 20, 30], [1.0, 2.0])
-
-
-def test_constant_samples_have_zero_dispersion():
-    rep = convergence_diagnostic({10: [2.0, 2.0, 2.0],
-                                  100: [2.0, 2.0, 2.0, 2.0]})
-    assert isinstance(rep, ConvergenceReport)
-    assert [r[0] for r in rep.rows] == [10, 100]
-    assert all(r[2] == 0.0 and r[3] == 0.0 for r in rep.rows)
-    assert all(r[1] == 2.0 for r in rep.rows)
-    assert rep.mutually_consistent
-
-
-def test_diagnostic_flags_shrinking_dispersion_and_agreement():
-    rep = convergence_diagnostic({
-        10: [0.0, 4.0, 0.0, 4.0, 0.0, 4.0],
-        100: [1.9, 2.1, 2.0, 1.95, 2.05, 2.0]})
-    assert rep.dispersion_shrinks
-    assert rep.mutually_consistent
-
-
-def test_diagnostic_flags_disagreeing_means():
-    rep = convergence_diagnostic({
-        10: [1.0, 1.001, 0.999, 1.0],
-        100: [2.0, 2.001, 1.999, 2.0]})
-    assert not rep.mutually_consistent
-
-
-def test_diagnostic_input_validation():
-    with pytest.raises(ValueError):
-        convergence_diagnostic({10: [1.0, 2.0]})
-    with pytest.raises(ValueError):
-        convergence_diagnostic({10: [1.0, 2.0], 20: [1.0]})
 
 
 def test_interval_coverage_on_fair_coin_flips():
