@@ -12,6 +12,15 @@ profiles are the visits of the walk without its holds, over which each
 group spreads the holds (at horizon 12, 194 visit multisets in place of
 10,474 merged hold profiles).
 
+The no-return probabilities of both models come from one DP as well,
+no_return_probability, over the same walk-and-marks reading: the RWRS
+sum marks every step and reveals a site's value at its first visit,
+while the oriented walk's first coordinate marks the holds of its lazy
+vertical walk, reveals a row's sign at its first hold, and returns only
+with the walker back on row 0.  Its states hold the walker's position
+when a return needs it, the site values within reach of the walker, and
+the marked sum up to sign.
+
 Probabilities are float64 throughout and the DP only adds and multiplies
 nonnegative numbers, so the total mass stays within a few ulp of 1.
 """
@@ -123,6 +132,54 @@ def marked_sum_law(steps, n: int, mark_moves: bool, site_values) -> dict:
         for val, q in value_distribution(counts, site_values).items():
             out[(val, pos)] += w * q
     return dict(out)
+
+
+def no_return_probability(steps, horizon: int, mark_moves: bool, site_values,
+                          at_origin: bool) -> float:
+    """P(the marked sum avoids 0 at every time 1..horizon).
+
+    With at_origin a return also needs the walker back at position 0.
+    Steps must lie in {-1, 0, 1} and the site-value law be symmetric.
+
+    Breadth-first DP over states (y, vals, z): the walker's position y
+    (kept only with at_origin), the site values vals on the sites within
+    reach of the walker, None until the site's first mark reveals it,
+    and the marked sum z.  After each step the window is re-sliced around
+    the new position to the steps left, so out-of-reach sites drop out.
+    Under the symmetric site law (y, -vals, -z) weighs as much as
+    (y, vals, z), so only z >= 0 is kept.  A state that returns drops
+    out; one with |z| + |y| above the steps left times the largest site
+    value cannot return, so its weight counts at once.
+    """
+    steps, site_values = tuple(steps), tuple(site_values)
+    if any(abs(d) > 1 for d, _ in steps) or not _symmetric(site_values):
+        raise ValueError("steps must lie in {-1, 0, 1} and the site values "
+                         "must be symmetric")
+    top = max(abs(v) for v, _ in site_values)
+    total = 0.0
+    states = {(0, (None,) * (2 * horizon + 1), 0): 1.0}
+    for left in range(horizon - 1, -1, -1):
+        nxt: dict = defaultdict(float)
+        for (y, vals, z), w in states.items():
+            for d, q in steps:
+                y2 = y + d if at_origin else 0
+                window = vals[d + 1:d + 2 * left + 2]  # window[left] is the new site
+                if not (mark_moves or d == 0):
+                    moves = ((window, z, w * q),)
+                elif window[left] is not None:
+                    moves = ((window, z + window[left], w * q),)
+                else:
+                    moves = [(window[:left] + (v,) + window[left + 1:], z + v,
+                              w * (q * qv)) for v, qv in site_values]
+                for vs, z2, w2 in moves:
+                    if abs(z2) + abs(y2) > left * top:
+                        total += w2
+                    elif z2 < 0:
+                        nxt[(y2, tuple(v if v is None else -v for v in vs), -z2)] += w2
+                    elif z2 or y2:  # else the walk has returned
+                        nxt[(y2, vs, z2)] += w2
+        states = nxt
+    return total + sum(states.values())  # states is empty unless horizon is 0
 
 
 def _hold_law(steps, n: int, site_values) -> dict:

@@ -24,21 +24,21 @@ one-row case, whose memory follows the visited sites rather than the
 horizon, and harness trials its many-row case.
 
 The exact oracles merge step sequences by state instead of enumerating
-them: by per-row displacement profile, up to its mirror image, for the
-endpoint law (horizons up to 14, see enumeration.py), by surviving
-orientations for no-return (up to 16).
+them, both in enumeration.py: by per-row displacement profile, up to its
+mirror image, for the endpoint law (horizons up to 14), and for
+no-return by the DP the RWRS oracle also runs, over the lazy vertical
+walk with each row's sign revealed at its first hold, the walker's row,
+the signs within reach and the first coordinate up to sign (up to 18).
 """
 
 from __future__ import annotations
 
-from bisect import bisect
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .enumeration import marked_sum_law
+from .enumeration import marked_sum_law, no_return_probability
 from .laws import (_BLOCK_STEPS, _distinct, _field_keys, _keyed_signs, _local_times,
                    _positions, _row_blocks, _row_counts, _values_from_uniforms,
                    lattice_at_sites, lazy_vertical, rademacher, sample_lattice)
@@ -47,7 +47,7 @@ from .rng import _M64, RngStream, _mix64_vec, _uniform_rows, mix64, site_hash
 H, UP, DOWN = 0, 1, 2  # step-type codes: horizontal, vertical up, vertical down
 
 ENUMERATION_CAP = 14  # endpoint laws (cp-law)
-ESCAPE_CAP = 16       # no-return probabilities (cp-escape)
+ESCAPE_CAP = 18       # no-return probabilities (cp-escape)
 
 # sub-seed tags, one per independent noise source
 _ENV_TAG = 201
@@ -391,63 +391,19 @@ def exact_return_probability(p: float, n: int) -> float:
 def exact_no_return_probability(p: float, horizon: int) -> float:
     """Exact P(walk avoids the origin at every time 1..horizon).
 
-    Breadth-first DP over step-type sequences, merged by state: the row
-    y, the sorted rows that have hosted a horizontal step, and the set
-    of surviving (mask, x) pairs.  A mask assigns an orientation bit to
-    each hosting row (bit i to the i-th smallest row) and has
-    probability 2^-#rows; x is the first coordinate under it, and a pair
-    drops out when its walk returns to the origin.  A state carries the
-    summed probability of the sequences that reach it.  Reach pruning: a
-    pair with |x| + |y| above the steps left cannot come back, so its
-    share is counted at once and the pair dropped.  Horizons up to
-    ESCAPE_CAP = 16 take about a second.
+    The first coordinate is the sum of the row orientations read at the
+    holds of the lazy vertical walk, so this is
+    enumeration.no_return_probability on that walk, a row's sign revealed
+    at its first hold and a return needing the walker on row 0.  Every
+    step moves x + y by one, so returns fall at even times and an odd
+    horizon gives the value of the even one below it, bit for bit.
+    Horizons up to ESCAPE_CAP = 18 take under a second.
     """
     _check_p(p)
     if not 1 <= horizon <= ESCAPE_CAP:
         raise ValueError(f"exact no-return limited to horizons 1..{ESCAPE_CAP}")
-    pv = (1.0 - p) / 2.0
-    total = 0.0
-    states = {(0, (), frozenset({(0, 0)})): 1.0}
-    for left in range(horizon - 1, -1, -1):
-        nxt: dict = defaultdict(float)
-        for (y, rows, pairs), w in states.items():
-            if y in rows:
-                bit = 1 << rows.index(y)
-                moved = [(m, x + 1 if m & bit else x - 1) for m, x in pairs]
-                hosts = rows
-            else:
-                # row y joins the hosts as the j-th smallest: the bits of
-                # the rows above it move up one, and each pair splits on
-                # row y's sign
-                j = bisect(rows, y)
-                low = (1 << j) - 1
-                moved = []
-                for m, x in pairs:
-                    m = (m & low) | ((m & ~low) << 1)
-                    moved += ((m | (1 << j), x + 1), (m, x - 1))
-                hosts = rows[:j] + (y,) + rows[j:]
-            total += _settle(nxt, y, hosts, moved, w * p, left)
-            total += _settle(nxt, y + 1, rows, pairs, w * pv, left)
-            total += _settle(nxt, y - 1, rows, pairs, w * pv, left)
-        states = nxt
-    return total
-
-
-def _settle(states: dict, y: int, rows: tuple, pairs, w: float, left: int) -> float:
-    """Add the state (y, rows, pairs) with weight w to states, less the
-    pairs at the origin (returned) and those out of reach of it with
-    left steps to go; returns the probability of the latter."""
-    kept = []
-    gone = 0
-    for m, x in pairs:
-        d = abs(x) + abs(y)
-        if d > left:
-            gone += 1
-        elif d:
-            kept.append((m, x))
-    if kept:
-        states[(y, rows, frozenset(kept))] += w
-    return w * gone / (1 << len(rows))
+    return no_return_probability(_lazy_steps(p), horizon - horizon % 2, False,
+                                 ((-1, 0.5), (1, 0.5)), True)
 
 
 # ---------------------------------------------------------------------------

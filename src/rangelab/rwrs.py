@@ -23,12 +23,11 @@ the horizon, and harness trials its many-row case.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .enumeration import marked_sum_law
+from .enumeration import marked_sum_law, no_return_probability
 from .laws import (_BLOCK_STEPS, LatticeLaw, _counts, _distinct, _field_keys,
                    _local_times, _positions, _row_blocks, _row_counts, _run_counts,
                    _values_from_uniforms, lattice_at_keyed_sites, lattice_at_sites,
@@ -219,47 +218,16 @@ def exact_rwrs_law(model: RwrsModel, n: int) -> dict:
 
 
 def exact_no_return_z(model: RwrsModel, horizon: int) -> float:
-    """Exact P(Z_k != 0 for every k = 1..horizon).
+    """Exact P(Z_k != 0 for every k = 1..horizon) for finite-support laws.
 
-    Breadth-first DP over states (i, vals, z): the scenery values vals on
-    the visited interval of sites, the walker's index i into it, and Z.
-    Steps lie in {-1, 0, 1}, so a new site prepends or appends one value;
-    sites farther from the walker than the steps left are dropped.  The
-    scenery law is symmetric, so (i, -vals, -z) weighs as much as
-    (i, vals, z) and only the member with z > 0 is kept.  A state that
-    returns drops out; one with |z| above the steps left times the
-    largest scenery value cannot return, so its weight counts at once.
+    This is enumeration.no_return_probability with every step marking
+    its arrival site, so a site's scenery value is revealed at its first
+    visit and a return needs Z_k = 0 alone.
     """
     if not 1 <= horizon <= ENUMERATION_CAP:
         raise ValueError(f"exact no-return limited to horizons 1..{ENUMERATION_CAP}")
-    steps = lattice_support(model.walk_law)
-    scen = lattice_support(model.scenery_law)
-    top = max(abs(v) for v, _ in scen)
-    total = 0.0
-    states = {(0, (), 0): 1.0}
-    for left in range(horizon - 1, -1, -1):
-        nxt: dict = defaultdict(float)
-        for (i, vals, z), w in states.items():
-            for d, pw in steps:
-                j = i + d
-                if 0 <= j < len(vals):
-                    moves = ((j, vals, vals[j], pw),)
-                elif j < 0:
-                    moves = [(0, (v,) + vals, v, pw * pv) for v, pv in scen]
-                else:
-                    moves = [(len(vals), vals + (v,), v, pw * pv) for v, pv in scen]
-                for k, vs, v, q in moves:
-                    z2 = z + v
-                    if abs(z2) > left * top:
-                        total += w * q
-                        continue
-                    a = max(0, k - left)  # drop the sites out of reach
-                    vs, k = vs[a:k + left + 1], k - a
-                    if z2:
-                        key = (k, vs, z2) if z2 > 0 else (k, tuple(-u for u in vs), -z2)
-                        nxt[key] += w * q
-        states = nxt
-    return total
+    return no_return_probability(lattice_support(model.walk_law), horizon, True,
+                                 lattice_support(model.scenery_law), False)
 
 
 # ---------------------------------------------------------------------------

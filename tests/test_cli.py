@@ -250,9 +250,9 @@ def test_exact_escape_value(capsys):
 
 
 def test_exact_escape_cap(capsys):
-    assert run_cli("exact", "cp-escape", "--p", "0.5", "--L", "17") == 3
+    assert run_cli("exact", "cp-escape", "--p", "0.5", "--L", "19") == 3
     assert capsys.readouterr().out == ""
-    assert run_cli("exact", "cp-escape", "--p", "0.5", "--L", "16") == 0
+    assert run_cli("exact", "cp-escape", "--p", "0.5", "--L", "18") == 0
     assert 0.0 < float(capsys.readouterr().out) <= 1.0
 
 

@@ -1,13 +1,18 @@
-"""The profile DP against plain brute-force enumeration on tiny horizons."""
+"""The profile DP against plain brute-force enumeration on tiny horizons,
+and the no-return DP against each model's own DP."""
 
 import itertools
+from bisect import bisect
 from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rangelab.enumeration import marked_sum_law, profile_states, value_distribution
+from rangelab.enumeration import (marked_sum_law, no_return_probability, profile_states,
+                                  value_distribution)
+from rangelab.laws import (lattice_support, lazy_vertical, rademacher, simple_symmetric,
+                          ternary)
 
 
 def brute_marked_sum_law(steps, n, mark_moves, site_values):
@@ -197,3 +202,124 @@ def test_hold_route_at_one_half_is_the_profile_dp_exactly(n):
     # every weight is a dyadic rational that float64 holds exactly
     assert marked_sum_law(lazy(0.5), n, False, SIGNS) == \
         profile_marked_sum_law(lazy(0.5), n, False, SIGNS)
+
+
+def mask_no_return_probability(p, horizon):
+    """The oriented walk's no-return probability by its own DP: the row y,
+    the sorted rows that have hosted a horizontal step, and the set of
+    surviving (mask, x) pairs, a mask giving each hosting row a sign bit
+    (bit i to the i-th smallest row) with probability 2^-#rows."""
+    pv = (1.0 - p) / 2.0
+    total = 0.0
+    states = {(0, (), frozenset({(0, 0)})): 1.0}
+    for left in range(horizon - 1, -1, -1):
+        nxt = defaultdict(float)
+        for (y, rows, pairs), w in states.items():
+            if y in rows:
+                bit = 1 << rows.index(y)
+                moved = [(m, x + 1 if m & bit else x - 1) for m, x in pairs]
+                hosts = rows
+            else:
+                # row y joins the hosts as the j-th smallest: the bits of
+                # the rows above it move up one, and each pair splits on
+                # row y's sign
+                j = bisect(rows, y)
+                low = (1 << j) - 1
+                moved = []
+                for m, x in pairs:
+                    m = (m & low) | ((m & ~low) << 1)
+                    moved += ((m | (1 << j), x + 1), (m, x - 1))
+                hosts = rows[:j] + (y,) + rows[j:]
+            total += settle(nxt, y, hosts, moved, w * p, left)
+            total += settle(nxt, y + 1, rows, pairs, w * pv, left)
+            total += settle(nxt, y - 1, rows, pairs, w * pv, left)
+        states = nxt
+    return total
+
+
+def settle(states, y, rows, pairs, w, left):
+    """Add the state (y, rows, pairs) with weight w to states, less the
+    pairs at the origin (returned) and those out of reach of it with
+    left steps to go; returns the probability of the latter."""
+    kept = []
+    gone = 0
+    for m, x in pairs:
+        d = abs(x) + abs(y)
+        if d > left:
+            gone += 1
+        elif d:
+            kept.append((m, x))
+    if kept:
+        states[(y, rows, frozenset(kept))] += w
+    return w * gone / (1 << len(rows))
+
+
+def interval_no_return_z(steps, scen, horizon):
+    """The RWRS no-return probability by its own DP: the scenery values
+    vals on the visited interval, trimmed to the sites within reach, the
+    walker's index i into it, and Z up to sign."""
+    top = max(abs(v) for v, _ in scen)
+    total = 0.0
+    states = {(0, (), 0): 1.0}
+    for left in range(horizon - 1, -1, -1):
+        nxt = defaultdict(float)
+        for (i, vals, z), w in states.items():
+            for d, pw in steps:
+                j = i + d
+                if 0 <= j < len(vals):
+                    moves = ((j, vals, vals[j], pw),)
+                elif j < 0:
+                    moves = [(0, (v,) + vals, v, pw * pv) for v, pv in scen]
+                else:
+                    moves = [(len(vals), vals + (v,), v, pw * pv) for v, pv in scen]
+                for k, vs, v, q in moves:
+                    z2 = z + v
+                    if abs(z2) > left * top:
+                        total += w * q
+                        continue
+                    a = max(0, k - left)  # drop the sites out of reach
+                    vs, k = vs[a:k + left + 1], k - a
+                    if z2:
+                        key = (k, vs, z2) if z2 > 0 else (k, tuple(-u for u in vs), -z2)
+                        nxt[key] += w * q
+        states = nxt
+    return total
+
+
+def rwrs_case(walk, scenery, rel):
+    steps, scen = lattice_support(walk), lattice_support(scenery)
+    return (steps, True, scen, False, lambda L: interval_no_return_z(steps, scen, L),
+            range(1, 13), rel)
+
+
+def cp_case(p, horizons, rel):
+    return (lazy(p), False, SIGNS, True, lambda L: mask_no_return_probability(p, L),
+            horizons, rel)
+
+
+@pytest.mark.parametrize("steps,mark_moves,values,at_origin,reference,horizons,rel", [
+    # dyadic weights: every sum is exact, so the two DPs agree bit for bit
+    cp_case(0.5, range(1, 17), 0),
+    cp_case(0.2, range(1, 13), 1e-13),
+    cp_case(0.37, range(1, 13), 1e-13),
+    cp_case(0.83, range(1, 13), 1e-13),
+    rwrs_case(simple_symmetric(), rademacher(), 0),
+    rwrs_case(simple_symmetric(), ternary(0.3), 1e-13),
+    rwrs_case(lazy_vertical(0.4), ternary(0.6), 1e-13),
+    rwrs_case(lazy_vertical(0.5), rademacher(), 1e-13),
+], ids=["cp-0.5", "cp-0.2", "cp-0.37", "cp-0.83", "simple-rademacher",
+        "simple-ternary", "lazy-ternary", "lazy-rademacher"])
+def test_no_return_dp_matches_each_models_own_dp(steps, mark_moves, values, at_origin,
+                                                 reference, horizons, rel):
+    for L in horizons:
+        got = no_return_probability(steps, L, mark_moves, values, at_origin)
+        want = reference(L)
+        assert abs(got - want) <= rel * want, L
+
+
+def test_no_return_dp_inputs():
+    assert no_return_probability(LAZY, 0, False, SIGNS, True) == 1.0
+    with pytest.raises(ValueError):
+        no_return_probability(JUMPY, 4, True, SIGNS, False)
+    with pytest.raises(ValueError):
+        no_return_probability(SIMPLE, 4, True, ((3, 0.6), (-1, 0.4)), False)

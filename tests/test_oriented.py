@@ -111,8 +111,11 @@ def test_no_return_values_and_monotonicity():
     for p in (0.3, 0.5, 0.7):
         assert exact_no_return_probability(p, 2) == pytest.approx(
             1.0 - (1.0 - p) ** 2 / 2.0)
-    qs = [exact_no_return_probability(0.5, L) for L in range(1, 9)]
-    assert all(a >= b - 1e-12 for a, b in zip(qs, qs[1:]))
+    for p in (0.3, 0.5, 0.7):
+        qs = [exact_no_return_probability(p, L) for L in range(1, 13)]
+        assert all(a >= b for a, b in zip(qs, qs[1:]))
+        # no return is possible at an odd time
+        assert all(qs[2 * k] == qs[2 * k - 1] for k in range(1, 6))
 
 
 def fraction_no_return(p, horizon):
@@ -156,11 +159,14 @@ def fraction_no_return(p, horizon):
     return total
 
 
-# q_L at p = 1/2, L = 1..12, from fraction_no_return
+# q_L at p = 1/2, L = 1..18: up to 12 from fraction_no_return, then from
+# the mask/pair reference DP in test_enumeration.py with no horizon cap
 Q_HALF = tuple(Fraction(a, b) for a, b in (
     (1, 1), (7, 8), (7, 8), (107, 128), (107, 128), (415, 512), (415, 512),
     (25955, 32768), (25955, 32768), (101955, 131072), (101955, 131072),
-    (3214703, 4194304)))
+    (3214703, 4194304), (3214703, 4194304), (12700691, 16777216),
+    (12700691, 16777216), (1608582723, 2147483648), (1608582723, 2147483648),
+    (6375439937, 8589934592)))
 
 
 @pytest.mark.parametrize("p", [0.2, 0.37, 0.73])
@@ -176,10 +182,10 @@ def test_no_return_matches_exact_rationals(p):
 def test_no_return_at_one_half_is_exact():
     for L in range(1, 8):
         assert fraction_no_return(Fraction(1, 2), L) == Q_HALF[L - 1]
-    qs = [exact_no_return_probability(0.5, L) for L in range(1, 13)]
+    qs = [exact_no_return_probability(0.5, L) for L in range(1, 19)]
     assert [Fraction(q) for q in qs] == list(Q_HALF)
     # no return is possible at an odd time
-    assert all(qs[2 * k] == qs[2 * k - 1] for k in range(1, 6))
+    assert all(qs[2 * k] == qs[2 * k - 1] for k in range(1, 9))
 
 
 def test_mean_range_is_one_plus_the_escape_curve():
