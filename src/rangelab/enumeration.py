@@ -1,4 +1,4 @@
-"""Exact small-horizon laws via dynamic programming over occupation profiles.
+"""Exact small-horizon laws and no-return probabilities by dynamic programming.
 
 Both exact laws in this package reduce to the same computation: a walk
 on Z takes i.i.d. integer steps, certain steps mark a site, and the

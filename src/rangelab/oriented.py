@@ -26,9 +26,9 @@ horizon, and harness trials its many-row case.
 The exact oracles merge step sequences by state instead of enumerating
 them, both in enumeration.py: by per-row displacement profile, up to its
 mirror image, for the endpoint law (horizons up to 14), and for
-no-return by the DP the RWRS oracle also runs, over the lazy vertical
-walk with each row's sign revealed at its first hold, the walker's row,
-the signs within reach and the first coordinate up to sign (up to 18).
+no-return (up to 18) by the DP the RWRS oracle also runs, whose states
+are the walker's row, the row signs within reach, each revealed at the
+row's first hold, and the first coordinate up to sign.
 """
 
 from __future__ import annotations
