@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import zeta as _hurwitz_zeta
 
 from .rng import RngStream, _finalize_vec, _mix64_vec, as_generator, keyed_uniform
 
@@ -191,9 +190,22 @@ def pareto_tail(index: float, tail_constant: float | None = None) -> LatticeLaw:
     return LatticeLaw("pareto_tail", index=index, tail_constant=tail_constant)
 
 
+@lru_cache(maxsize=1)
+def _scipy_zeta():
+    # only the pareto laws need zeta, so scipy.special loads on their first
+    # use, not with the package; cached, since sampling calls it per bisection step
+    from scipy.special import zeta
+    return zeta
+
+
+def _hurwitz_zeta(s: float, q: float) -> float:
+    # sum over j >= 0 of (j + q)^(-s)
+    return float(_scipy_zeta()(s, q))
+
+
 def _zeta1p(index: float) -> float:
     # zeta(1 + index) = sum over j >= 1 of j^(-1-index)
-    return float(_hurwitz_zeta(1.0 + index, 1.0))
+    return _hurwitz_zeta(1.0 + index, 1.0)
 
 
 def lattice_pmf(law: LatticeLaw, k: int) -> float:
@@ -228,7 +240,7 @@ def lattice_tail(law: LatticeLaw, t: int) -> float:
     t = int(t)
     if law.kind != "pareto_tail":
         return 0.0 if t >= 1 else 1.0 - lattice_pmf(law, 0)
-    return 2.0 * law.tail_constant * float(_hurwitz_zeta(1.0 + law.index, t + 1.0))
+    return 2.0 * law.tail_constant * _hurwitz_zeta(1.0 + law.index, t + 1.0)
 
 
 def lattice_variance(law: LatticeLaw) -> float:
@@ -268,7 +280,7 @@ def _pareto_tables(index: float, tail_constant: float):
 
 def _pareto_magnitude_cdf(index: float, z: float, k: int) -> float:
     # P(magnitude <= k) without tabulation
-    return 1.0 - float(_hurwitz_zeta(1.0 + index, k + 1.0)) / z
+    return 1.0 - _hurwitz_zeta(1.0 + index, k + 1.0) / z
 
 
 def _pareto_magnitudes(law: LatticeLaw, u: np.ndarray) -> np.ndarray:

@@ -229,7 +229,8 @@ def validate_path(path: LatticePath, env: Environment | None = None) -> None:
 
 def _encode_sites(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # bijective for |x| < 2^31 and |y| < 2^31, comfortably above any horizon
-    return (x.astype(np.int64) << 32) ^ (y.astype(np.int64) & 0xFFFFFFFF)
+    return ((x.astype(np.int64, copy=False) << 32)
+            ^ (y.astype(np.int64, copy=False) & 0xFFFFFFFF))
 
 
 def range_sites(path: LatticePath) -> int:
@@ -349,8 +350,9 @@ def no_return_count(p: float, horizon: int, trials: int, master_seed: int) -> in
     for _, dx, y in _batch_chunks(p, horizon, trials,
                                   mix64(master_seed, _BATCH_TAG, horizon),
                                   _ENV_TAG, max(1, (1 << 22) // horizon)):
-        hit = ((np.cumsum(dx, axis=1, dtype=np.int64) == 0) & (y == 0)).any(axis=1)
-        survivors += int((~hit).sum())
+        x = _positions(dx, 0)
+        x |= y  # 0 exactly where the walk is back at the origin
+        survivors += int(np.count_nonzero(x.all(axis=1)))
     return survivors
 
 

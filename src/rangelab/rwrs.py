@@ -101,14 +101,16 @@ def simulate_rwrs(model: RwrsModel, n: int, master_seed: int) -> ZPath:
     """
     if n < 0:
         raise ValueError("step count must be nonnegative")
-    s = np.cumsum(sample_lattice(model.walk_law,
-                                 RngStream(mix64(master_seed, _WALK_TAG), 0), n))
-    uniq, cnt, inv = _local_times(s)
+    walk = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(sample_lattice(model.walk_law,
+                             RngStream(mix64(master_seed, _WALK_TAG), 0), n),
+              out=walk[1:])
+    uniq, cnt, inv = _local_times(walk[1:])
     site_vals = lattice_at_sites(model.scenery_law, mix64(master_seed, _SCENERY_TAG),
                                  uniq)
-    z = np.cumsum(site_vals[inv])
-    return ZPath(model=model, walk=np.concatenate([[0], s]),
-                 values=np.concatenate([[0], z]),
+    values = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(site_vals[inv], dtype=np.int64, out=values[1:])
+    return ZPath(model=model, walk=walk, values=values,
                  scenery={int(y): int(v) for y, v in zip(uniq, site_vals)},
                  local_time=LocalTimeMap(
                      counts={int(y): int(c) for y, c in zip(uniq, cnt)},

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -43,6 +44,53 @@ def test_package_exposes_version_and_submodules():
     for name in ("rng", "laws", "enumeration", "oriented", "rwrs", "limit",
                  "harness", "cli"):
         assert getattr(rangelab, name).__name__ == f"rangelab.{name}"
+
+
+_COLD_START = """
+import json, sys
+from rangelab import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+report = {"import": scipy_modules()}
+report["exact"] = [cli.main(argv) for argv in (
+    ["exact", "cp-law", "--p", "0.5", "--n", "4"],
+    ["exact", "cp-escape", "--p", "0.37", "--L", "6"],
+    ["exact", "rwrs-law", "--walk", "lazy:0.3", "--scenery", "ternary:0.4",
+     "--n", "4"])]
+report["after_exact"] = scipy_modules()
+report["run"] = cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
+report["after_run"] = scipy_modules()
+print(json.dumps(report))
+"""
+
+
+def test_scipy_waits_for_a_heavy_tail_or_an_interval(tmp_path):
+    # a fresh process: importing the package and the exact tables on bounded
+    # laws load numpy alone; a pareto run loads scipy.special, never scipy.stats
+    config = tmp_path / "pareto.json"
+    config.write_text(json.dumps({
+        "model": "rwrs", "params": {"walk": "simple", "scenery": "pareto:0.8"},
+        "sizes": [16, 64], "trials": 5, "outputs": ["zrange", "escape"]}))
+    src = str(Path(rangelab.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _COLD_START, str(config),
+                          str(tmp_path / "res")], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout.splitlines()[-1])
+    assert report["import"] == []
+    assert report["exact"] == [0, 0, 0]
+    assert report["after_exact"] == []
+    assert report["run"] == 0
+    assert "scipy.special" in report["after_run"]
+    assert "scipy.stats" not in report["after_run"]
+    with open(tmp_path / "res" / "results.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 1 + 2 * 2
+    assert all(math.isfinite(float(r[3])) for r in rows[1:])
 
 
 def test_defaults_fill_in_and_resolution_is_idempotent():

@@ -67,6 +67,21 @@ def test_interval_uses_the_normal_quantile():
     assert TrialStats.from_values([5.0, 5.0, 5.0]).ci_half() == 0.0
 
 
+def test_normal_quantile_is_scipys_bit_for_bit():
+    from scipy.stats import norm
+    grid = [k / 2002 for k in range(1, 2002)] + [0.9, 0.95, 0.99, 0.999]
+    for c in grid:
+        assert harness._normal_quantile(c) == float(norm.ppf(0.5 + c / 2.0)), c
+
+
+@pytest.mark.parametrize("confidence", [0.0, 1.0, -0.5, 1.5, math.nan, math.inf])
+def test_interval_rejects_confidence_outside_the_unit_interval(confidence):
+    for stats in (TrialStats.from_values([0.0, 1.0, 2.0]),
+                  TrialStats.from_values([0.4])):
+        with pytest.raises(ValueError, match="confidence"):
+            stats.ci_half(confidence)
+
+
 @given(values_lists, values_lists)
 @settings(max_examples=60, deadline=None)
 def test_merge_equals_concatenation_exactly(a, b):
