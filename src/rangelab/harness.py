@@ -54,9 +54,9 @@ class TrialStats:
     """Count, sum and sum of squares, accumulated exactly.
 
     Integral values are summed as Python ints, the others as Fractions
-    (floats convert to Fraction losslessly), so merging is exactly
-    associative and commutative; mean and CI are materialized as floats
-    only on read.
+    (each float is a dyadic rational, summed exactly over a common power
+    of two), so merging is exactly associative and commutative; mean and
+    CI are materialized as floats only on read.
     """
 
     count: int = 0
@@ -72,9 +72,14 @@ class TrialStats:
         ints = [int(x) for x in v[whole].tolist()]
         total = sum(ints)
         total_sq = sum(x * x for x in ints)
-        for f in map(Fraction, v[~whole].tolist()):
-            total += f
-            total_sq += f * f
+        ratios = [x.as_integer_ratio() for x in v[~whole].tolist()]
+        if ratios:
+            # every denominator is a power of two: put the numerators over
+            # the largest, 2^k, and sum them as ints
+            k = max(d for _, d in ratios).bit_length() - 1
+            nums = [n << (k + 1 - d.bit_length()) for n, d in ratios]
+            total += Fraction(sum(nums), 1 << k)
+            total_sq += Fraction(sum(n * n for n in nums), 1 << (2 * k))
         return cls(count=v.size, total=total, total_sq=total_sq)
 
     @classmethod

@@ -20,10 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
-from .rng import RngStream, _finalize_vec, _mix64_vec, as_generator, keyed_uniform
+from .rng import (RngStream, _finalize_vec, _mix64_vec, as_generator, keyed_uniform,
+                  site_hash)
 
 # ---------------------------------------------------------------------------
 # stable laws
@@ -278,29 +280,45 @@ def _pareto_tables(index: float, tail_constant: float):
     return cdf, z
 
 
-def _pareto_magnitude_cdf(index: float, z: float, k: int) -> float:
-    # P(magnitude <= k) without tabulation
-    return 1.0 - _hurwitz_zeta(1.0 + index, k + 1.0) / z
+def _pareto_magnitude_cdf(index: float, z: float, k: np.ndarray) -> np.ndarray:
+    # P(magnitude <= k) without tabulation, elementwise over the array k
+    return 1.0 - _scipy_zeta()(1.0 + index, k + 1.0) / z
 
 
 def _pareto_magnitudes(law: LatticeLaw, u: np.ndarray) -> np.ndarray:
     cdf, z = _pareto_tables(law.index, law.tail_constant)
     mags = np.searchsorted(cdf, u, side="left") + 1
-    deep = u >= cdf[-1]
-    if deep.any():
-        for i in np.nonzero(deep)[0]:
-            target = u[i]
-            lo, hi = _TABLE_CUT, 2 * _TABLE_CUT
-            while _pareto_magnitude_cdf(law.index, z, hi) < target:
-                lo, hi = hi, hi * 2
-            while hi - lo > 1:  # smallest k with cdf(k) >= target
-                mid = (lo + hi) // 2
-                if _pareto_magnitude_cdf(law.index, z, mid) < target:
-                    lo = mid
-                else:
-                    hi = mid
-            mags[i] = hi
+    deep = np.flatnonzero(u >= cdf[-1])
+    if deep.size:
+        mags[deep] = _deep_magnitudes(law.index, z, u[deep])
     return mags.astype(np.int64)
+
+
+def _deep_magnitudes(index: float, z: float, target: np.ndarray) -> np.ndarray:
+    # the smallest k > _TABLE_CUT with cdf(k) >= target, for every target at
+    # once: double hi from 2 * _TABLE_CUT until cdf(hi) >= target, then
+    # bisect (lo, hi], so each target sees the cdf at the same k in the same
+    # order as a one-at-a-time search.  uint64 holds hi up to 2^63; a
+    # magnitude past int64 raises as storing it would.
+    lo = np.full(target.shape, _TABLE_CUT, dtype=np.uint64)
+    hi = 2 * lo
+    up = np.arange(target.size)
+    while up.size:
+        up = up[_pareto_magnitude_cdf(index, z, hi[up]) < target[up]]
+        if (hi[up] >= np.uint64(1 << 63)).any():
+            raise OverflowError("pareto magnitude beyond the int64 range")
+        lo[up] = hi[up]
+        hi[up] *= np.uint64(2)
+    wide = np.arange(target.size)
+    while wide.size:
+        wide = wide[hi[wide] - lo[wide] > 1]
+        mid = lo[wide] + (hi[wide] - lo[wide]) // np.uint64(2)
+        below = _pareto_magnitude_cdf(index, z, mid) < target[wide]
+        lo[wide[below]] = mid[below]
+        hi[wide[~below]] = mid[~below]
+    if (hi >= np.uint64(1 << 63)).any():
+        raise OverflowError("pareto magnitude beyond the int64 range")
+    return hi.astype(np.int64)
 
 
 def _values_from_uniforms(law: LatticeLaw, u0: np.ndarray,
@@ -329,15 +347,20 @@ def _values_from_uniforms(law: LatticeLaw, u0: np.ndarray,
     return out
 
 
-def _keyed_signs(keys, sites) -> np.ndarray:
-    """The two-point laws' values at keyed sites, as int8.
+def _keyed_signs(keys, sites, out=None, work=None) -> np.ndarray:
+    """The two-point laws' values at keyed sites, as int8: into the int8
+    array out, hashing in the pair of uint64 arrays work, when given.
 
     u0 < 1/2 holds exactly when the top bit of the site hash is clear, so
-    the sign is read off that bit without forming the uniform.
+    the sign is read off that bit without forming the uniform, and before
+    the finalizer's closing z ^= z >> 31, which never changes it.
     """
-    h = _finalize_vec(np.asarray(sites, dtype=np.int64).view(np.uint64)
-                      ^ np.asarray(keys, dtype=np.uint64))
-    signs = (np.asarray(h).view(np.int64) < 0).view(np.int8)
+    h, t = (None, None) if work is None else work
+    h = np.bitwise_xor(np.asarray(sites, dtype=np.int64).view(np.uint64),
+                       np.asarray(keys, dtype=np.uint64), out=h)
+    h = _finalize_vec(h, t, last=False)
+    signs = np.less(np.asarray(h).view(np.int64), 0,
+                    out=None if out is None else out.view(bool)).view(np.int8)
     signs += signs - 1
     return signs
 
@@ -389,12 +412,18 @@ def _positions(steps: np.ndarray, start) -> np.ndarray:
     return np.cumsum(pos, axis=1, out=pos)
 
 
+def _block_rows(n: int) -> int:
+    # trials per block of _row_blocks at n steps per trial
+    return max(1, _BATCH_STEPS // n)
+
+
 def _row_blocks(law: LatticeLaw, base: int, trials: int, n: int, chunk: int):
     """Yield (ids, steps) for consecutive blocks of trials, a few at a time:
     the trials' indices and one row of n draws from law per trial.  The m
     trials of chunk c (chunk at a time) draw sample_lattice(law,
-    RngStream(base, c), m * n), laid out one row of n draws per trial."""
-    per = max(1, _BATCH_STEPS // n)
+    RngStream(base, c), m * n), laid out one row of n draws per trial, in
+    blocks of _block_rows(n) trials (fewer at a chunk's end)."""
+    per = _block_rows(n)
     for c0 in range(0, trials, chunk):
         m = min(chunk, trials - c0)
         for r, steps in zip(range(c0, c0 + m, per), _lattice_blocks(
@@ -429,6 +458,105 @@ def lattice_at_keyed_sites(law: LatticeLaw, key0, key1, sites) -> np.ndarray:
         return _keyed_signs(key0, sites)
     u1 = keyed_uniform(key1, sites) if law.kind == "pareto_tail" else None
     return _values_from_uniforms(law, keyed_uniform(key0, sites), u1)
+
+
+# -- escape counts -------------------------------------------------------------
+
+# the steps a time-major slab of trials holds, in bytes
+_SLAB_BYTES = 1 << 22
+# fewer trials than this walk faster row by row: a time-major step costs
+# about a dozen vector calls whatever the width, a row-major block two cumsums
+_SLAB_MIN_TRIALS = 4096
+
+
+def _no_return_count(walk: LatticeLaw, field: LatticeLaw, base: int, horizon: int,
+                     trials: int, counters: tuple, mark_moves: bool, at_origin: bool,
+                     even: bool) -> int:
+    """Number of trials whose marked sum avoids 0 at every time 1..horizon:
+    the Monte Carlo side of enumeration.no_return_probability, and the one
+    kernel of both escape counters.
+
+    Trial i takes horizon steps of law walk, drawn as _row_blocks draws
+    them in chunks of 2^22 // horizon trials, and reads the field of law
+    field under the keys site_hash(base, i, counter=c) for c in counters,
+    key0 first and key1 last.  Each step marks the walker's new site,
+    adding the field there to the sum; without mark_moves only a step of
+    0 does.  With at_origin a return also needs the walker at 0.  even
+    says that walker plus sum changes parity at every step, so that
+    returns fall at even times, and only those are tested.
+
+    A chunk is walked in slabs of consecutive trials holding at most
+    _SLAB_BYTES of steps.  A slab of _SLAB_MIN_TRIALS trials or more
+    stores its steps time-major, one row per time, and walks all its
+    trials side by side one step at a time; a narrower one walks its
+    blocks row by row.  Both give the same count.
+    """
+    chunk = max(1, (1 << 22) // horizon)
+    per = _block_rows(horizon)
+    item = 8 if walk.kind == "pareto_tail" else 1  # the decoder's dtype
+    width = per * max(1, _SLAB_BYTES // (horizon * item * per))
+    blocks = _row_blocks(walk, base, trials, horizon, chunk)
+    survivors = 0
+    for c0 in range(0, trials, chunk):
+        end = min(c0 + chunk, trials)
+        for s0 in range(c0, end, width):
+            ids = np.arange(s0, min(s0 + width, end))
+            # key1 only when the field reads it
+            keys = [site_hash(base, ids, counter=c)
+                    for c in counters[:1 + (field.kind == "pareto_tail")]]
+            slab = islice(blocks, -(-ids.size // per))
+            route = _time_major if ids.size >= _SLAB_MIN_TRIALS else _row_major
+            survivors += route(slab, field, keys[0], keys[-1], mark_moves,
+                               at_origin, even)
+    return survivors
+
+
+def _row_major(blocks, field, key0, key1, mark_moves, at_origin, even) -> int:
+    # _no_return_count on (ids, steps) blocks whose trials have the keys
+    # key0 and key1, one block of whole walks at a time; every time is tested
+    survivors = r = 0
+    for ids, steps in blocks:
+        rows = slice(r, r + ids.size)
+        r += ids.size
+        pos = _positions(steps, 0)
+        total = lattice_at_keyed_sites(field, key0[rows, None], key1[rows, None], pos)
+        if not mark_moves:
+            total *= steps == 0
+        total = _positions(total, 0)
+        if at_origin:
+            total |= pos  # 0 exactly where both are
+        survivors += int(np.count_nonzero(total.all(axis=1)))
+    return survivors
+
+
+def _time_major(blocks, field, key0, key1, mark_moves, at_origin, even) -> int:
+    # _row_major's count, from the blocks' steps stored one row per time and
+    # walked a time at a time: each step adds into one vector per quantity
+    steps = None
+    col = 0
+    for ids, part in blocks:
+        if steps is None:
+            steps = np.empty((part.shape[1], key0.size), dtype=part.dtype)
+        steps[:, col:col + ids.size] = part.T
+        col += ids.size
+    pos = np.zeros(col, dtype=np.int64)
+    total = np.zeros(col, dtype=np.int64)
+    either = np.empty(col, dtype=np.int64) if at_origin else None
+    hold = np.empty(col, dtype=bool)
+    alive = np.ones(col, dtype=bool)
+    if field.kind in _TWO_POINT:  # hashed into buffers kept across steps
+        signs, work = np.empty(col, dtype=np.int8), np.empty((2, col), dtype=np.uint64)
+    for t, step in enumerate(steps, 1):
+        pos += step
+        mark = (_keyed_signs(key0, pos, signs, work) if field.kind in _TWO_POINT
+                else lattice_at_keyed_sites(field, key0, key1, pos))
+        if not mark_moves:
+            mark *= np.equal(step, 0, out=hold)
+        total += mark
+        if not (even and t % 2):
+            np.logical_and(alive, np.bitwise_or(total, pos, out=either)
+                           if at_origin else total, out=alive)
+    return int(np.count_nonzero(alive))
 
 
 # -- distinct values and local times -----------------------------------------

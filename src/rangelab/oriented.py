@@ -18,6 +18,10 @@ the batch endpoint samplers of both routes share one batch loop.  Both
 routes must agree in law with the exact enumeration oracle, which is the
 strongest correctness check in the test suite.
 
+The batch escape counter no_return_count draws the walks of the
+endpoint samplers and counts them through laws._no_return_count, the
+Monte Carlo kernel it shares with rwrs.no_return_z_count.
+
 Range statistics come from one (trials x steps) kernel, _trial_block,
 that streams each row in column chunks: annealed_range_stats is its
 one-row case, whose memory follows the visited sites rather than the
@@ -40,8 +44,9 @@ import numpy as np
 
 from .enumeration import marked_sum_law, no_return_probability
 from .laws import (_BLOCK_STEPS, _distinct, _field_keys, _keyed_signs, _local_times,
-                   _positions, _row_blocks, _row_counts, _values_from_uniforms,
-                   lattice_at_sites, lazy_vertical, rademacher, sample_lattice)
+                   _no_return_count, _positions, _row_blocks, _row_counts,
+                   _values_from_uniforms, lattice_at_sites, lazy_vertical, rademacher,
+                   sample_lattice)
 from .rng import _M64, RngStream, _mix64_vec, _uniform_rows, mix64, site_hash
 
 H, UP, DOWN = 0, 1, 2  # step-type codes: horizontal, vertical up, vertical down
@@ -292,20 +297,11 @@ def _block_steps(dy: np.ndarray, keys: np.ndarray, y0=0):
     return dx, y
 
 
-def _batch_chunks(p: float, n: int, trials: int, base: int, tag: int,
-                  rows_per_chunk: int):
-    """Yield (i, dx, y) for consecutive blocks of trials i..: one row of
-    horizontal increments dx and of positions y after each step per trial.
-
-    Chunk c of rows_per_chunk trials draws its steps from stream (base, c);
-    trial i reads its orientation field through the key
-    site_hash(base, i, counter=tag).
-    """
-    for ids, dy in _row_blocks(lazy_vertical(p), base, trials, n, rows_per_chunk):
-        yield (ids[0], *_block_steps(dy, site_hash(base, ids, counter=tag)[:, None]))
-
-
 def _batch_endpoints(p: float, n: int, trials: int, base: int, tag: int):
+    """Endpoints of trials walks of n steps: the trials of chunk c draw their
+    steps from stream (base, c), _BATCH_CHUNK trials at a time, and trial
+    i reads its orientation field through the key site_hash(base, i,
+    counter=tag)."""
     _check_p(p)
     if n < 0 or trials < 0:
         raise ValueError(f"n and trials must be nonnegative, got {n} and {trials}")
@@ -313,9 +309,10 @@ def _batch_endpoints(p: float, n: int, trials: int, base: int, tag: int):
     ys = np.zeros(trials, dtype=np.int64)
     if n == 0:  # a walk of no steps ends at the origin
         return xs, ys
-    for c0, dx, y in _batch_chunks(p, n, trials, base, tag, _BATCH_CHUNK):
-        xs[c0:c0 + len(y)] = dx.sum(axis=1, dtype=np.int64)
-        ys[c0:c0 + len(y)] = y[:, -1]
+    for ids, dy in _row_blocks(lazy_vertical(p), base, trials, n, _BATCH_CHUNK):
+        dx, y = _block_steps(dy, site_hash(base, ids, counter=tag)[:, None])
+        xs[ids] = dx.sum(axis=1, dtype=np.int64)
+        ys[ids] = y[:, -1]
     return xs, ys
 
 
@@ -341,19 +338,23 @@ def skew_product_endpoints(p: float, n: int, trials: int,
 
 
 def no_return_count(p: float, horizon: int, trials: int, master_seed: int) -> int:
-    """Number of trials whose walk avoids the origin at all times 1..horizon."""
+    """Number of trials whose walk avoids the origin at all times 1..horizon.
+
+    laws._no_return_count with the lazy vertical walk reading its row's
+    orientation at the holds, a return needing the walker on row 0: the
+    same walks annealed_endpoints draws, under the seed
+    mix64(master_seed, _BATCH_TAG, horizon).  Every step moves x + y by
+    one, so returns are tested at even times only.  Batches of 4,096
+    trials or more at horizons up to 1,024 walk their trials side by side,
+    a step at a time; the others walk each trial's row whole.
+    """
     _check_p(p)
     if horizon < 1 or trials < 0:
         raise ValueError(f"horizon must be at least 1 and trials nonnegative, "
                          f"got {horizon} and {trials}")
-    survivors = 0
-    for _, dx, y in _batch_chunks(p, horizon, trials,
-                                  mix64(master_seed, _BATCH_TAG, horizon),
-                                  _ENV_TAG, max(1, (1 << 22) // horizon)):
-        x = _positions(dx, 0)
-        x |= y  # 0 exactly where the walk is back at the origin
-        survivors += int(np.count_nonzero(x.all(axis=1)))
-    return survivors
+    return _no_return_count(lazy_vertical(p), rademacher(),
+                            mix64(master_seed, _BATCH_TAG, horizon), horizon, trials,
+                            (_ENV_TAG,), False, True, True)
 
 
 # ---------------------------------------------------------------------------

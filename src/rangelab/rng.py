@@ -45,11 +45,15 @@ def mix64(*words: int) -> int:
     return state
 
 
-def _finalize_vec(z: np.ndarray) -> np.ndarray:
+def _finalize_vec(z: np.ndarray, t: np.ndarray | None = None,
+                  last: bool = True) -> np.ndarray:
     # splitmix64 finalizer in place on z, a uint64 array the caller owns,
-    # with one scratch array; 0-d input comes back as a scalar
+    # with the scratch array t (a new one when None); 0-d input comes back
+    # as a scalar.  Without last, the closing z ^= z >> 31 is left out: it
+    # never changes the top bit, which is all a sign field reads.
     z = np.asarray(z)
-    t = np.empty_like(z)
+    if t is None:
+        t = np.empty_like(z)
     z += np.uint64(_GOLDEN)
     np.right_shift(z, np.uint64(30), out=t)
     z ^= t
@@ -57,8 +61,9 @@ def _finalize_vec(z: np.ndarray) -> np.ndarray:
     np.right_shift(z, np.uint64(27), out=t)
     z ^= t
     z *= np.uint64(0x94D049BB133111EB)
-    np.right_shift(z, np.uint64(31), out=t)
-    z ^= t
+    if last:
+        np.right_shift(z, np.uint64(31), out=t)
+        z ^= t
     return z[()]
 
 

@@ -17,7 +17,9 @@ any distance agree automatically.  Range and self-intersection
 statistics come from one (trials x steps) kernel, _trial_block, that
 streams each row in column chunks: rwrs_range_stats is its one-row
 case, whose memory follows the distinct sites and Z levels rather than
-the horizon, and harness trials its many-row case.
+the horizon, and harness trials its many-row case.  The batch escape
+counter no_return_z_count is laws._no_return_count, the kernel it
+shares with oriented.no_return_count.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ import numpy as np
 
 from .enumeration import marked_sum_law, no_return_probability
 from .laws import (_BLOCK_STEPS, LatticeLaw, _counts, _distinct, _field_keys,
-                   _local_times, _positions, _row_blocks, _row_counts, _run_counts,
+                   _local_times, _no_return_count, _positions, _row_counts, _run_counts,
                    _values_from_uniforms, lattice_at_keyed_sites, lattice_at_sites,
                    lattice_support, sample_lattice, stable_index)
-from .rng import _M64, RngStream, _mix64_vec, _uniform_rows, mix64, site_hash
+from .rng import _M64, RngStream, _mix64_vec, _uniform_rows, mix64
 
 ENUMERATION_CAP = 12
 
@@ -236,38 +238,25 @@ def exact_no_return_z(model: RwrsModel, horizon: int) -> float:
 # batches and range statistics
 
 
-def _block_paths(model: RwrsModel, steps: np.ndarray, key0: np.ndarray,
-                 key1: np.ndarray, s0=0, z0=0):
-    """Scenery walks from rows of walk steps, starting at the positions s0
-    with the scenery sums z0: (s, z), the positions and the scenery sums
-    after each step, one row per walk.
-
-    Row r's scenery is the field lattice_at_keyed_sites gives under the
-    keys key0[r] and key1[r].
-    """
-    s = _positions(steps, s0)
-    return s, _positions(lattice_at_keyed_sites(model.scenery_law, key0, key1, s), z0)
-
-
 def no_return_z_count(model: RwrsModel, horizon: int, trials: int,
                       master_seed: int) -> int:
     """Number of trials whose scenery sum avoids 0 at all times 1..horizon.
 
-    Vectorized over trials: each trial row carries its own scenery field
-    through a pair of per-trial hash keys, so revisited sites within a
-    trial reproduce their value while trials stay independent.
+    laws._no_return_count with every step reading the scenery at its
+    arrival site: trial i has its own scenery field, under the keys
+    site_hash(base, i, counter=10) and counter=11 with base
+    mix64(master_seed, _BATCH_TAG, horizon), so revisited sites within a
+    trial reproduce their value while trials stay independent.  Batches
+    of 4,096 trials or more at horizons up to 1,024 (128 for a pareto
+    walk) walk their trials side by side, a step at a time; the others
+    walk each trial's row whole.
     """
     if horizon < 1 or trials < 0:
         raise ValueError(f"horizon must be at least 1 and trials nonnegative, "
                          f"got {horizon} and {trials}")
-    survivors = 0
-    base = mix64(master_seed, _BATCH_TAG, horizon)
-    for ids, steps in _row_blocks(model.walk_law, base, trials, horizon,
-                                  max(1, (1 << 22) // horizon)):
-        _, z = _block_paths(model, steps, site_hash(base, ids, counter=10)[:, None],
-                            site_hash(base, ids, counter=11)[:, None])
-        survivors += int((z != 0).all(axis=1).sum())
-    return survivors
+    return _no_return_count(model.walk_law, model.scenery_law,
+                            mix64(master_seed, _BATCH_TAG, horizon), horizon, trials,
+                            (10, 11), True, False, False)
 
 
 @dataclass
@@ -328,7 +317,8 @@ def _trial_block(model: RwrsModel, n: int, seeds, chunk: int):
         u1 = (_uniform_rows(walk, w, n + c0)
               if model.walk_law.kind == "pareto_tail" else None)
         steps = _values_from_uniforms(model.walk_law, _uniform_rows(walk, w, c0), u1)
-        s, z = _block_paths(model, steps, key0, key1, s_end, z_end)
+        s = _positions(steps, s_end)
+        z = _positions(lattice_at_keyed_sites(model.scenery_law, key0, key1, s), z_end)
         home = z == 0
         hit = np.where(home.any(axis=1), c0 + home.argmax(axis=1) + 1, 0)
         first_return = np.where(first_return > 0, first_return, hit)

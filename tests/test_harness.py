@@ -113,6 +113,33 @@ def fraction_stats(values) -> TrialStats:
     return TrialStats(count=len(values), total=total, total_sq=total_sq)
 
 
+def split_stats(values) -> TrialStats:
+    """The accumulator from_values ran before: ints for the integral values,
+    a Fraction per value for the others."""
+    total = total_sq = 0
+    for v in map(float, values):
+        f = int(v) if v.is_integer() else Fraction(v)
+        total += f
+        total_sq += f * f
+    return TrialStats(count=len(values), total=total, total_sq=total_sq)
+
+
+def test_dyadic_sums_equal_the_fraction_loop_at_the_float_extremes():
+    huge = [1.7976931348623157e308, -1e300, 2.0 ** 52 + 0.5, -(2.0 ** 51 + 0.25)]
+    tiny = [5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-300, 3.0e-17]
+    plain = [-0.1, 2.5, -7.0, 0.0, 1.0 / 3.0]
+    for values in (huge + tiny + plain, tiny, plain[:1], huge[2:] + tiny[:1],
+                   [0.5, 0.5], [0.25, -0.25]):
+        got, want = TrialStats.from_values(values), split_stats(values)
+        assert got == want
+        assert type(got.total) is type(want.total)
+        assert type(got.total_sq) is type(want.total_sq)
+    with pytest.raises(ValueError):
+        TrialStats.from_values([0.5, math.nan])
+    with pytest.raises(OverflowError):
+        TrialStats.from_values([0.5, math.inf])
+
+
 _NEAR_2_53 = st.sampled_from([2.0 ** 53, 2.0 ** 53 - 1, 2.0 ** 53 + 2,
                               -(2.0 ** 53), 2.0 ** 54 + 4, -0.0, 0.0, 9e14])
 _INTEGRAL = st.one_of(st.integers(-2 ** 60, 2 ** 60).map(float), _NEAR_2_53)

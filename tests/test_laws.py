@@ -15,10 +15,12 @@ from rangelab.laws import (LatticeLaw, StableLaw, gaussian_limit,
                            pareto_tail, rademacher, sample_lattice,
                            sample_stable, simple_symmetric, stable_cf,
                            stable_index, ternary)
-from rangelab.laws import (_counts, _distinct, _local_times, _pareto_magnitudes,
-                           _values_from_uniforms)
-from rangelab.oriented import _encode_sites
-from rangelab.rng import RngStream
+from rangelab import laws
+from rangelab.laws import (_counts, _distinct, _keyed_signs, _local_times,
+                           _pareto_magnitudes, _pareto_tables, _values_from_uniforms)
+from rangelab.oriented import _encode_sites, no_return_count
+from rangelab.rng import RngStream, keyed_uniform
+from rangelab.rwrs import RwrsModel, no_return_z_count
 
 # ---------------------------------------------------------------------------
 # stable laws
@@ -191,6 +193,37 @@ def test_pareto_magnitude_inversion_deep_tail():
     assert int(_pareto_magnitudes(law, np.array([1.0 - 1e-9]))[0]) > 4096
 
 
+def scalar_deep_magnitude(index, z, target):
+    """The one-draw-at-a-time deep-tail search the sampler ran before."""
+    def cdf(k):
+        return 1.0 - float(hurwitz_zeta(1.0 + index, k + 1.0)) / z
+
+    lo, hi = 4096, 8192
+    while cdf(hi) < target:
+        lo, hi = hi, hi * 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if cdf(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@pytest.mark.parametrize("index", [0.3, 0.6, 1.2, 1.95])
+def test_deep_tail_bisection_equals_the_scalar_search(index):
+    law = pareto_tail(index)
+    cdf, z = _pareto_tables(law.index, law.tail_constant)
+    gen = np.random.default_rng(int(index * 100))
+    deep = cdf[-1] + (1.0 - cdf[-1]) * gen.random(300)
+    u = np.concatenate([deep, [cdf[-1], np.nextafter(cdf[-1], 1.0)], gen.random(50)])
+    want = [scalar_deep_magnitude(index, z, t) if t >= cdf[-1] else None
+            for t in u.tolist()]
+    got = _pareto_magnitudes(law, u)
+    assert got.dtype == np.int64
+    assert [g if w is not None else None for g, w in zip(got.tolist(), want)] == want
+
+
 def test_variance_and_indices():
     assert lattice_variance(rademacher()) == 1.0
     assert lattice_variance(ternary(0.5)) == 0.5
@@ -300,6 +333,24 @@ def test_keyed_route_and_decoder_dtypes_for_every_kind(law):
     assert keyed.dtype == (np.int64 if law.kind == "pareto_tail" else np.int8)
 
 
+def test_sign_shortcut_reads_the_uniform_route():
+    # the sign comes off the hash before its last xor-shift, which keeps
+    # the top bit: it must agree with keyed_uniform >= 1/2 everywhere
+    gen = np.random.default_rng(14)
+    keys = gen.integers(0, 2**64, size=(6, 1), dtype=np.uint64)
+    sites = gen.integers(-2**62, 2**62, size=(6, 400))
+    sites[:, :50] = np.arange(-25, 25)
+    for k, s in ((keys, sites), (keys, sites[:1]), (keys[:, 0], sites[:, 0]),
+                 (keys[2, 0], sites[2]), (keys[3, 0], -7)):
+        want = np.where(keyed_uniform(k, s) >= 0.5, 1, -1)
+        got = _keyed_signs(k, s)
+        assert np.array_equal(got, want) and np.shape(got) == np.shape(want)
+    out, work = np.empty(400, dtype=np.int8), np.empty((2, 400), dtype=np.uint64)
+    got = _keyed_signs(keys[4], sites[4], out, work)
+    assert np.shares_memory(got, out)
+    assert np.array_equal(got, np.where(keyed_uniform(keys[4], sites[4]) >= 0.5, 1, -1))
+
+
 def test_lattice_at_sites_differs_across_seeds():
     sites = np.arange(1000)
     a = lattice_at_sites(rademacher(), 1, sites)
@@ -339,3 +390,70 @@ def test_distinct_and_local_times_equal_numpy_unique(a):
     assert np.array_equal(inv, inverse.reshape(-1))
     v, c = _counts(a)
     assert np.array_equal(v, values) and np.array_equal(c, counts)
+
+
+# ---------------------------------------------------------------------------
+# escape counts: the time-major and row-major routes of one kernel
+
+_WALKS = {"lazy": lazy_vertical(0.4), "simple": simple_symmetric(),
+          "pareto": pareto_tail(1.3)}
+_FIELDS = {"rademacher": rademacher(), "ternary": ternary(0.3),
+           "pareto": pareto_tail(0.8)}
+_RULE = laws._SLAB_MIN_TRIALS
+
+
+def counts_by_route(monkeypatch, count, *args):
+    """count(*args) with every slab time-major, every slab row-major, and
+    under the rule."""
+    got = []
+    for least in (1, 1 << 62, _RULE):
+        monkeypatch.setattr(laws, "_SLAB_MIN_TRIALS", least)
+        got.append(count(*args))
+    return got
+
+
+@pytest.mark.parametrize("walk", _WALKS)
+@pytest.mark.parametrize("field", _FIELDS)
+@pytest.mark.parametrize("horizon, trials", [(1, 700), (7, 5000), (64, 1300)])
+def test_both_routes_count_alike_for_every_law(monkeypatch, walk, field, horizon,
+                                                trials):
+    # 1300 and 5000 trials end in a part block (512 and 4681 trials a block)
+    model = RwrsModel(_WALKS[walk], _FIELDS[field])
+    got = counts_by_route(monkeypatch, no_return_z_count, model, horizon, trials, 3)
+    assert got[0] == got[1] == got[2]
+    if walk == "lazy" and field == "rademacher":
+        got = counts_by_route(monkeypatch, no_return_count, 0.4, horizon, trials, 3)
+        assert got[0] == got[1] == got[2]
+
+
+@pytest.mark.parametrize("horizon, trials, walk", [
+    (1024, 4100, "simple"),   # a chunk of 4096 trials walks time-major
+    (1025, 4100, "simple"),   # slabs of 4092 walk row-major
+    (64, 9000, "pareto"),     # int64 steps: a slab of 8192, then 808 row-major
+    (101, 9001, "lazy"),      # an odd horizon: one slab ending in a part block
+])
+def test_both_routes_count_alike_either_side_of_the_rule(monkeypatch, horizon,
+                                                         trials, walk):
+    model = RwrsModel(_WALKS[walk], rademacher())
+    got = counts_by_route(monkeypatch, no_return_z_count, model, horizon, trials, 5)
+    assert got[0] == got[1] == got[2]
+    got = counts_by_route(monkeypatch, no_return_count, 0.5, horizon, trials, 5)
+    assert got[0] == got[1] == got[2]
+
+
+@pytest.mark.parametrize("walk", _WALKS)
+@pytest.mark.parametrize("field", _FIELDS)
+def test_escape_counts_hold_little_memory(walk, field):
+    import tracemalloc
+    model = RwrsModel(_WALKS[walk], _FIELDS[field])
+    calls = [(no_return_z_count, model)]
+    if walk == "lazy" and field == "rademacher":
+        calls.append((no_return_count, 0.5))
+    for count, law in calls:
+        tracemalloc.start()
+        try:
+            count(law, 64, 70_000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
