@@ -7,10 +7,14 @@ CHANGES.md.  Every case uses fresh streams, so the cases are independent.
 """
 
 import hashlib
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rangelab.cli import main
 from rangelab.harness import _MODEL_OUTPUTS, ExperimentSpec, run_experiment
 from rangelab.laws import (StableLaw, lazy_vertical, pareto_tail, rademacher,
                            sample_lattice, sample_stable, simple_symmetric,
@@ -220,6 +224,26 @@ def harness_parts(model):
                 yield np.frombuffer(line.encode(), dtype=np.uint8)
 
 
+# (model, params, sizes, trials, horizon) of the runs whose results.csv
+# bytes, every mean and ci_half repr among them, are pinned
+CSV_RUNS = (("oriented", {"p": 0.37}, (8, 64, 300), 40, 20),
+            ("rwrs", WALK_PAIRS[1], (8, 64, 300), 40, None),
+            ("rwrs", {"walk": "simple", "scenery": "pareto:0.8"}, (8, 64, 300),
+             40, 30))
+
+
+def results_csv_parts():
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, (model, params, sizes, trials, horizon) in enumerate(CSV_RUNS):
+            config, out = Path(tmp, f"{k}.json"), Path(tmp, str(k))
+            config.write_text(json.dumps({
+                "model": model, "params": params, "sizes": sizes,
+                "trials": trials, "outputs": _MODEL_OUTPUTS[model],
+                "seed": 1500 + k, "horizon": horizon}))
+            assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+            yield np.frombuffer((out / "results.csv").read_bytes(), dtype=np.uint8)
+
+
 def sample_stable_parts(laws):
     # the draw after each call pins how far the call moved the stream
     for seed in SEEDS:
@@ -288,6 +312,9 @@ CASES = {
     "rwrs_range_stats": (
         rwrs_range_stats_parts,
         "7136399562d933dcf82f13d53414fdbb3644d7f868146ad9e7ee9e74d705762e"),
+    "results_csv": (
+        results_csv_parts,
+        "5b19f714db308549d820fa9981009cf2afef4bad442cb695f746426e17874c8e"),
     "sample_lattice": (
         sample_lattice_parts,
         "d4660cfcdc764d322ac57a5e95f1688a44b2c3454ab55d475723f42a7a136b3b"),
