@@ -20,7 +20,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -125,10 +125,57 @@ class TrialStats:
 
 @lru_cache(maxsize=16)
 def _normal_quantile(confidence: float) -> float:
-    # scipy.stats.norm.ppf(q) is ndtri(q) * 1 + 0, so this is bit-equal to
-    # it; scipy.special loads here, on the first confidence interval
-    from scipy.special import ndtri
-    return float(ndtri(0.5 + confidence / 2.0))
+    return _ndtri(0.5 + confidence / 2.0)
+
+
+# ndtri from S. L. Moshier's Cephes Mathematical Library (1989), as scipy
+# ships it under its BSD licence: the same operations in the same order, so
+# every quantile is bit-equal to scipy.special.ndtri and norm.ppf.  Each Q
+# writes out Cephes' implicit leading 1 (1 * x + c is x + c exactly).
+_S2PI = 2.50662827463100050242E0  # sqrt(2 pi)
+_EXPM2 = 0.13533528323661269189  # e^-2
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+       1.39312609387279679503E1, -1.23916583867381258016E0)
+_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0,
+       8.63602421390890590575E1, -2.25462687854119370527E2, 2.00260212380060660359E2,
+       -8.20372256168333339912E1, 1.59056225126211695515E1, -1.18331621121330003142E0)
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+       -8.57456785154685413611E-4)
+_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1,
+       4.13172038254672030440E1, 1.50425385692907503408E1, 2.50464946208309415979E0,
+       -1.42182922854787788574E-1, -3.80806407691578277194E-2,
+       -9.33259480895457427372E-4)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+       1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0,
+       1.37702099489081330271E0, 2.16236993594496635890E-1, 1.34204006088543189037E-2,
+       3.28014464682127739104E-4, 2.89247864745380683936E-6, 6.79019408009981274425E-9)
+
+
+def _polevl(x: float, coefs) -> float:
+    # Horner's rule from coefs[0]
+    return reduce(lambda a, c: a * x + c, coefs)
+
+
+def _ndtri(y: float) -> float:
+    """The standard normal quantile of y in [0, 1]."""
+    if y in (0.0, 1.0):
+        return math.copysign(math.inf, y - 0.5)
+    upper = y > 1.0 - _EXPM2
+    if upper:
+        y = 1.0 - y
+    if y > _EXPM2:
+        y -= 0.5
+        y2 = y * y
+        return (y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))) * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    p, q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
+    x = x - math.log(x) / x - z * _polevl(z, p) / _polevl(z, q)
+    return x if upper else -x
 
 
 # ---------------------------------------------------------------------------

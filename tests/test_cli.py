@@ -14,7 +14,7 @@ import pytest
 import rangelab
 from rangelab import cli
 from rangelab.cli import main, resolve_config
-from rangelab.harness import MAX_TRIAL_STEPS, ConfigError
+from rangelab.harness import _MODEL_OUTPUTS, MAX_TRIAL_STEPS, ConfigError
 
 BASE = {"model": "oriented", "params": {"p": 0.5}, "sizes": [8, 16],
         "trials": 4, "outputs": ["range", "escape"]}
@@ -66,13 +66,11 @@ print(json.dumps(report))
 """
 
 
-def test_scipy_waits_for_a_heavy_tail_or_an_interval(tmp_path):
-    # a fresh process: importing the package and the exact tables on bounded
-    # laws load numpy alone; a pareto run loads scipy.special, never scipy.stats
-    config = tmp_path / "pareto.json"
-    config.write_text(json.dumps({
-        "model": "rwrs", "params": {"walk": "simple", "scenery": "pareto:0.8"},
-        "sizes": [16, 64], "trials": 5, "outputs": ["zrange", "escape"]}))
+def cold_start(tmp_path, cfg):
+    """Run _COLD_START on the config cfg in a fresh process; return its
+    report and the rows of the results.csv it wrote."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
     src = str(Path(rangelab.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -80,16 +78,41 @@ def test_scipy_waits_for_a_heavy_tail_or_an_interval(tmp_path):
                           str(tmp_path / "res")], capture_output=True, text=True,
                          env=env, timeout=120)
     assert out.returncode == 0, out.stderr
-    report = json.loads(out.stdout.splitlines()[-1])
+    with open(tmp_path / "res" / "results.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    return json.loads(out.stdout.splitlines()[-1]), rows
+
+
+def test_scipy_waits_for_a_heavy_tail_or_an_interval(tmp_path):
+    # a fresh process: importing the package and the exact tables on bounded
+    # laws load numpy alone; a pareto law needs the Hurwitz zeta, so its run
+    # loads scipy.special, never scipy.stats
+    report, rows = cold_start(tmp_path, {
+        "model": "rwrs", "params": {"walk": "simple", "scenery": "pareto:0.8"},
+        "sizes": [16, 64], "trials": 5, "outputs": ["zrange", "escape"]})
     assert report["import"] == []
     assert report["exact"] == [0, 0, 0]
     assert report["after_exact"] == []
     assert report["run"] == 0
     assert "scipy.special" in report["after_run"]
     assert "scipy.stats" not in report["after_run"]
-    with open(tmp_path / "res" / "results.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
     assert len(rows) == 1 + 2 * 2
+    assert all(math.isfinite(float(r[3])) for r in rows[1:])
+
+
+@pytest.mark.parametrize("model, params", [
+    ("oriented", {"p": 0.5}),
+    ("rwrs", {"walk": "simple", "scenery": "rademacher"})])
+def test_bounded_laws_get_intervals_without_scipy(tmp_path, model, params):
+    # the normal quantile is computed in the package, so a run on bounded
+    # laws writes every interval and never loads scipy
+    outputs = list(_MODEL_OUTPUTS[model])
+    report, rows = cold_start(tmp_path, {
+        "model": model, "params": params, "sizes": [16, 64], "trials": 5,
+        "outputs": outputs, "horizon": 10})
+    assert report["run"] == 0
+    assert report["import"] == report["after_exact"] == report["after_run"] == []
+    assert len(rows) == 1 + 2 * len(outputs)
     assert all(math.isfinite(float(r[3])) for r in rows[1:])
 
 

@@ -74,6 +74,37 @@ def test_normal_quantile_is_scipys_bit_for_bit():
         assert harness._normal_quantile(c) == float(norm.ppf(0.5 + c / 2.0)), c
 
 
+def test_ndtri_port_is_scipys_bit_for_bit_on_every_branch():
+    from scipy.special import ndtri
+
+    def bits(xs):
+        return np.asarray(xs, dtype=float).view(np.uint64)
+
+    def check(ys):
+        assert (bits([harness._ndtri(y) for y in ys]) == bits(ndtri(ys))).all()
+
+    rng = np.random.default_rng(1015)
+    e2 = math.exp(-2.0)
+    assert e2 == harness._EXPM2
+    # the central branch, the tail with x = sqrt(-2 log y) < 8 (y > e^-32)
+    # and the tail with x >= 8, each on both sides of 1/2
+    central = rng.uniform(e2, 1.0 - e2, 30_000)
+    near = np.exp(-rng.uniform(2.0, 32.0, 40_000))
+    far = np.exp(-rng.uniform(32.0, 745.0, 30_000))
+    upper_far = 1.0 - np.exp(-rng.uniform(32.0, 36.0, 10_000))
+    for ys in (central, near, 1.0 - near, far, upper_far):
+        check(ys.tolist())
+    assert ((central > e2) & (central < 1.0 - e2)).all()
+    assert (far < math.exp(-32.0)).all() and (1.0 - upper_far < math.exp(-32.0)).all()
+    ulps = [math.nextafter(v, to) for v in (e2, 1.0 - e2) for to in (0.0, 1.0)]
+    check([e2, 1.0 - e2, *ulps, 0.0, 1.0, 0.5])
+    check([2.0 ** -k for k in range(1, 1075)])  # down to the least subnormal
+    check([1.0 - 2.0 ** -k for k in range(1, 54)])
+    for k in range(1, 54):
+        c = 1.0 - 2.0 ** -k
+        assert bits(harness._normal_quantile(c)) == bits(ndtri(0.5 + c / 2.0)), k
+
+
 @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.5, 1.5, math.nan, math.inf])
 def test_interval_rejects_confidence_outside_the_unit_interval(confidence):
     for stats in (TrialStats.from_values([0.0, 1.0, 2.0]),
