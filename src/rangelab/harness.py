@@ -125,7 +125,9 @@ class TrialStats:
 
 @lru_cache(maxsize=16)
 def _normal_quantile(confidence: float) -> float:
-    return _ndtri(0.5 + confidence / 2.0)
+    # 0.5 + c/2 rounds to 1 only at c = 1 - 2^-53, where 1 - c is exact
+    y = 0.5 + confidence / 2.0
+    return _ndtri(y) if y < 1.0 else -_ndtri((1.0 - confidence) / 2.0)
 
 
 # ndtri from S. L. Moshier's Cephes Mathematical Library (1989), as scipy

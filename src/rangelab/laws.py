@@ -13,6 +13,14 @@ variance 2 * a1.
 Lattice laws are integer-valued distributions used as walk steps and
 scenery values.  All of them are symmetric, hence centered whenever the
 mean exists, and their support generates the integers.
+
+Both models' Monte Carlo kernels live here too.  Each model sums a
+hashed site field along a walk: rwrs marks every arrival site, the
+oriented walk's first coordinate each hold of the lazy vertical walk.
+The kernels take that reading (walk law, field law, mark_moves,
+at_origin), never the model: _marked_walk walks rows of steps,
+_marked_trials streams trial rows in column chunks for the range
+statistics, and _no_return_count counts escapes.
 """
 
 from __future__ import annotations
@@ -24,8 +32,8 @@ from itertools import islice
 
 import numpy as np
 
-from .rng import (RngStream, _finalize_vec, _mix64_vec, as_generator, keyed_uniform,
-                  site_hash)
+from .rng import (RngStream, _finalize_vec, _mix64_vec, _uniform_rows, as_generator,
+                  keyed_uniform, site_hash)
 
 # ---------------------------------------------------------------------------
 # stable laws
@@ -404,8 +412,7 @@ _BLOCK_STEPS = 1 << 20
 
 
 def _positions(steps: np.ndarray, start) -> np.ndarray:
-    """Positions after each step of walks from rows of integer steps,
-    starting at start (one per row, or 0), as int64."""
+    """Positions after each step of rows of steps from start, as int64."""
     # widening first and summing in place beats cumsum's int8-to-int64 loop
     pos = steps.astype(np.int64)
     pos[:, 0] += start
@@ -460,6 +467,56 @@ def lattice_at_keyed_sites(law: LatticeLaw, key0, key1, sites) -> np.ndarray:
     return _values_from_uniforms(law, keyed_uniform(key0, sites), u1)
 
 
+# -- marked walks ---------------------------------------------------------------
+
+
+def _marked_walk(steps, field: LatticeLaw, key0, key1, mark_moves, start=0, total=0):
+    """(pos, total) for walks from rows of integer steps: the positions after
+    each step, from start, and the running sums, from total, of the field
+    of law field under the keys (key0, key1), each one per row or shared.
+    Each step marks the walker's new site, adding the field there to the
+    sum; without mark_moves only a step of 0 does."""
+    pos = _positions(steps, start)
+    marks = lattice_at_keyed_sites(field, key0, key1, pos)
+    if not mark_moves:
+        marks *= steps == 0
+    return pos, _positions(marks, total)
+
+
+def _marked_trials(walk: LatticeLaw, field: LatticeLaw, streams, fields, n: int,
+                   chunk: int, mark_moves: bool, at_origin: bool, tallies=(),
+                   counts: bool = True):
+    """The trial kernels' one loop: row r takes n steps of law walk, drawn
+    as sample_lattice(walk, RngStream(streams[r], 0), n) draws them, marked
+    by _marked_walk with the field _field_keys(fields[r]) keys, chunk steps
+    of every row at a time (the results do not depend on chunk).
+
+    Returns per row the walker's end, the sum's end, min and max, the
+    first return (the first time k >= 1 with sum 0 and, with at_origin,
+    the walker at 0; 0 when there is none) and, for each f in tallies,
+    the _row_counts(..., counts) multiset of the arrays f(pos, total).
+    """
+    key0, key1 = (k[:, None] for k in _field_keys(fields))
+    pos_end = end = lo = hi = first_return = np.zeros(len(streams), dtype=np.int64)
+    seen = [_row_counts(np.zeros((len(streams), 0), dtype=np.int64)) for _ in tallies]
+    for c0 in range(0, n, chunk):
+        w = min(chunk, n - c0)
+        # as sample_lattice: u1 of step k is uniform n + k of the stream
+        u1 = _uniform_rows(streams, w, n + c0) if walk.kind == "pareto_tail" else None
+        steps = _values_from_uniforms(walk, _uniform_rows(streams, w, c0), u1)
+        pos, total = _marked_walk(steps, field, key0, key1, mark_moves, pos_end, end)
+        home = (total | pos if at_origin else total) == 0
+        hit = np.where(home.any(axis=1), c0 + home.argmax(axis=1) + 1, 0)
+        first_return = np.where(first_return > 0, first_return, hit)
+        lo = np.minimum(lo, total.min(axis=1))
+        hi = np.maximum(hi, total.max(axis=1))
+        # copied, since _row_counts sorts its arrays in place
+        pos_end, end = pos[:, -1].copy(), total[:, -1].copy()
+        arrays = [f(pos, total) for f in tallies]
+        seen = [_row_counts(a, s, counts) for a, s in zip(arrays, seen)]
+    return pos_end, end, lo, hi, first_return, seen
+
+
 # -- escape counts -------------------------------------------------------------
 
 # the steps a time-major slab of trials holds, in bytes
@@ -477,13 +534,12 @@ def _no_return_count(walk: LatticeLaw, field: LatticeLaw, base: int, horizon: in
     kernel of both escape counters.
 
     Trial i takes horizon steps of law walk, drawn as _row_blocks draws
-    them in chunks of 2^22 // horizon trials, and reads the field of law
-    field under the keys site_hash(base, i, counter=c) for c in counters,
-    key0 first and key1 last.  Each step marks the walker's new site,
-    adding the field there to the sum; without mark_moves only a step of
-    0 does.  With at_origin a return also needs the walker at 0.  even
-    says that walker plus sum changes parity at every step, so that
-    returns fall at even times, and only those are tested.
+    them in chunks of 2^22 // horizon trials, marked as _marked_walk marks
+    them by the field of law field under the keys site_hash(base, i,
+    counter=c) for c in counters, key0 first and key1 last.  With
+    at_origin a return also needs the walker at 0.  even says that walker
+    plus sum changes parity at every step, so that returns fall at even
+    times, and only those are tested.
 
     A chunk is walked in slabs of consecutive trials holding at most
     _SLAB_BYTES of steps.  A slab of _SLAB_MIN_TRIALS trials or more
@@ -491,6 +547,9 @@ def _no_return_count(walk: LatticeLaw, field: LatticeLaw, base: int, horizon: in
     trials side by side one step at a time; a narrower one walks its
     blocks row by row.  Both give the same count.
     """
+    if horizon < 1 or trials < 0:
+        raise ValueError(f"horizon must be at least 1 and trials nonnegative, "
+                         f"got {horizon} and {trials}")
     chunk = max(1, (1 << 22) // horizon)
     per = _block_rows(horizon)
     item = 8 if walk.kind == "pareto_tail" else 1  # the decoder's dtype
@@ -518,11 +577,8 @@ def _row_major(blocks, field, key0, key1, mark_moves, at_origin, even) -> int:
     for ids, steps in blocks:
         rows = slice(r, r + ids.size)
         r += ids.size
-        pos = _positions(steps, 0)
-        total = lattice_at_keyed_sites(field, key0[rows, None], key1[rows, None], pos)
-        if not mark_moves:
-            total *= steps == 0
-        total = _positions(total, 0)
+        pos, total = _marked_walk(steps, field, key0[rows, None], key1[rows, None],
+                                  mark_moves)
         if at_origin:
             total |= pos  # 0 exactly where both are
         survivors += int(np.count_nonzero(total.all(axis=1)))
@@ -588,22 +644,6 @@ def _first_of_runs(s: np.ndarray) -> np.ndarray:
     keep[..., :1] = True
     np.not_equal(s[..., 1:], s[..., :-1], out=keep[..., 1:])
     return keep
-
-
-def _distinct(a) -> np.ndarray:
-    """Sorted distinct values of an integer array, as numpy's unique(a)."""
-    a = np.asarray(a, dtype=np.int64).ravel()
-    narrow = _offset_counts(a)
-    if narrow is not None:
-        lo, _, cnt = narrow
-        return np.flatnonzero(cnt) + lo
-    s = np.sort(a)
-    return s[_first_of_runs(s)]
-
-
-def _counts(a):
-    """Distinct values and their counts: _local_times without the inverse."""
-    return _local_times(a)[:2]
 
 
 def _row_counts(a: np.ndarray, carry=None, counts: bool = True):

@@ -13,19 +13,14 @@ construction: iterate the shift T((e_k), (w_k)) = ((e_(k+w_0)), (w_(k+1)))
 on the product of an orientation sequence and a step sequence, reading
 off one increment per iterate.  Its increment k reads the sign sequence
 at the walker's current row, so the shift-map path is the quenched walk
-in that sign field and shares the walk kernel of the direct simulators;
-the batch endpoint samplers of both routes share one batch loop.  Both
-routes must agree in law with the exact enumeration oracle, which is the
-strongest correctness check in the test suite.
+in that sign field and shares the walk kernel of the direct simulators.
+Both routes must agree in law with the exact enumeration oracle, which
+is the strongest correctness check in the test suite.
 
-The batch escape counter no_return_count draws the walks of the
-endpoint samplers and counts them through laws._no_return_count, the
-Monte Carlo kernel it shares with rwrs.no_return_z_count.
-
-Range statistics come from one (trials x steps) kernel, _trial_block,
-that streams each row in column chunks: annealed_range_stats is its
-one-row case, whose memory follows the visited sites rather than the
-horizon, and harness trials its many-row case.
+The first coordinate sums the row orientations at the holds of the lazy
+vertical walk, so the batch samplers, no_return_count and _trial_block
+(the range statistics; annealed_range_stats is its one-row case) run
+the marked-walk kernels of laws.
 
 The exact oracles merge step sequences by state instead of enumerating
 them, both in enumeration.py: by per-row displacement profile, up to its
@@ -43,11 +38,10 @@ from functools import lru_cache
 import numpy as np
 
 from .enumeration import marked_sum_law, no_return_probability
-from .laws import (_BLOCK_STEPS, _distinct, _field_keys, _keyed_signs, _local_times,
-                   _no_return_count, _positions, _row_blocks, _row_counts,
-                   _values_from_uniforms, lattice_at_sites, lazy_vertical, rademacher,
-                   sample_lattice)
-from .rng import _M64, RngStream, _mix64_vec, _uniform_rows, mix64, site_hash
+from .laws import (_BLOCK_STEPS, _local_times, _marked_trials, _marked_walk,
+                   _no_return_count, _row_blocks, _row_counts, lattice_at_sites,
+                   lazy_vertical, rademacher, sample_lattice)
+from .rng import _M64, RngStream, _mix64_vec, mix64, site_hash
 
 H, UP, DOWN = 0, 1, 2  # step-type codes: horizontal, vertical up, vertical down
 
@@ -240,7 +234,7 @@ def _encode_sites(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def range_sites(path: LatticePath) -> int:
     """Number of distinct lattice sites visited up to time n (time 0 included)."""
-    return int(_distinct(_encode_sites(path.x, path.y)).size)
+    return int(np.count_nonzero(_row_counts(_encode_sites(path.x, path.y)[None])[2]))
 
 
 def range_first_coordinate(path: LatticePath) -> int:
@@ -282,21 +276,6 @@ def first_coordinate_decomposition(path: LatticePath, env: Environment) -> int:
 # vectorized batches (many independent trials at once)
 
 
-def _block_steps(dy: np.ndarray, keys: np.ndarray, y0=0):
-    """Walks from rows of vertical increments dy, 0 on the horizontal steps,
-    starting on the rows y0: (dx, y), the horizontal increments and the
-    rows after each step.
-
-    Walk r reads its orientation field through the key keys[r], i.e. row
-    y's direction is the sign lattice_at_keyed_sites gives at (keys[r], y).
-    """
-    y = _positions(dy, y0)
-    # a horizontal step stays on its row, so y there is the row it moves along
-    dx = _keyed_signs(keys, y)
-    dx *= dy == 0
-    return dx, y
-
-
 def _batch_endpoints(p: float, n: int, trials: int, base: int, tag: int):
     """Endpoints of trials walks of n steps: the trials of chunk c draw their
     steps from stream (base, c), _BATCH_CHUNK trials at a time, and trial
@@ -310,9 +289,9 @@ def _batch_endpoints(p: float, n: int, trials: int, base: int, tag: int):
     if n == 0:  # a walk of no steps ends at the origin
         return xs, ys
     for ids, dy in _row_blocks(lazy_vertical(p), base, trials, n, _BATCH_CHUNK):
-        dx, y = _block_steps(dy, site_hash(base, ids, counter=tag)[:, None])
-        xs[ids] = dx.sum(axis=1, dtype=np.int64)
-        ys[ids] = y[:, -1]
+        keys = site_hash(base, ids, counter=tag)[:, None]
+        y, x = _marked_walk(dy, rademacher(), keys, keys, False)
+        xs[ids], ys[ids] = x[:, -1], y[:, -1]
     return xs, ys
 
 
@@ -349,9 +328,6 @@ def no_return_count(p: float, horizon: int, trials: int, master_seed: int) -> in
     a step at a time; the others walk each trial's row whole.
     """
     _check_p(p)
-    if horizon < 1 or trials < 0:
-        raise ValueError(f"horizon must be at least 1 and trials nonnegative, "
-                         f"got {horizon} and {trials}")
     return _no_return_count(lazy_vertical(p), rademacher(),
                             mix64(master_seed, _BATCH_TAG, horizon), horizon, trials,
                             (_ENV_TAG,), False, True, True)
@@ -455,32 +431,15 @@ def _trial_block(p: float, n: int, seeds, sites: bool, chunk: int):
     seeds, as one (trials x n) kernel: one array per WalkSummary field
     after steps, one entry per seed.
 
-    Each walk draws its steps from its own stream and reads its own
-    orientation field, as in simulate_annealed.  The kernel walks chunk
-    steps of every row at a time and carries each row's position,
-    extremes, first return and visited sites over.  Counting the sites
+    Each walk has its own stream and orientation field, as in
+    simulate_annealed, walked by laws._marked_trials.  Counting the sites
     takes a sort of the block, so it is skipped (sites is None) unless
     asked for.
     """
-    rows = len(seeds)
-    walk = _mix64_vec(seeds, _WALK_TAG)
-    # the orientation field of annealed_environment at each seed
-    keys = _field_keys(_mix64_vec(seeds, _ENV_TAG))[0][:, None]
-    x_end = y_end = x_min = x_max = first_return = np.zeros(rows, dtype=np.int64)
-    seen = _row_counts(np.zeros((rows, 0), dtype=np.int64))
-    for c0 in range(0, n, chunk):
-        dy = _values_from_uniforms(
-            lazy_vertical(p), _uniform_rows(walk, min(chunk, n - c0), c0), None)
-        dx, y = _block_steps(dy, keys, y_end)
-        x = _positions(dx, x_end)
-        home = (x == 0) & (y == 0)
-        hit = np.where(home.any(axis=1), c0 + home.argmax(axis=1) + 1, 0)
-        first_return = np.where(first_return > 0, first_return, hit)
-        x_min = np.minimum(x_min, x.min(axis=1))
-        x_max = np.maximum(x_max, x.max(axis=1))
-        x_end, y_end = x[:, -1].copy(), y[:, -1].copy()
-        if sites:
-            seen = _row_counts(_encode_sites(x, y), seen, counts=False)
+    y_end, x_end, x_min, x_max, first_return, seen = _marked_trials(
+        lazy_vertical(p), rademacher(), _mix64_vec(seeds, _WALK_TAG),
+        _mix64_vec(seeds, _ENV_TAG), n, chunk, False, True,
+        (lambda y, x: _encode_sites(x, y),) if sites else (), False)
     # distinct sites per row, plus the origin unless the walk came back
-    count = np.count_nonzero(seen[2], axis=1) + (first_return == 0) if sites else None
+    count = np.count_nonzero(seen[0][2], axis=1) + (first_return == 0) if sites else None
     return count, x_min, x_max, x_end, y_end, first_return

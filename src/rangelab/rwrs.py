@@ -13,13 +13,9 @@ normalizations and limit objects, which is what makes this model the
 analytical route to that walk's horizontal range.
 
 Scenery values are realized lazily through site hashing, so revisits at
-any distance agree automatically.  Range and self-intersection
-statistics come from one (trials x steps) kernel, _trial_block, that
-streams each row in column chunks: rwrs_range_stats is its one-row
-case, whose memory follows the distinct sites and Z levels rather than
-the horizon, and harness trials its many-row case.  The batch escape
-counter no_return_z_count is laws._no_return_count, the kernel it
-shares with oriented.no_return_count.
+any distance agree automatically.  _trial_block (the range and
+self-intersection statistics; rwrs_range_stats is its one-row case) and
+no_return_z_count run the marked-walk kernels of laws.
 """
 
 from __future__ import annotations
@@ -30,11 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .enumeration import marked_sum_law, no_return_probability
-from .laws import (_BLOCK_STEPS, LatticeLaw, _counts, _distinct, _field_keys,
-                   _local_times, _no_return_count, _positions, _row_counts, _run_counts,
-                   _values_from_uniforms, lattice_at_keyed_sites, lattice_at_sites,
+from .laws import (_BLOCK_STEPS, LatticeLaw, _local_times, _marked_trials,
+                   _no_return_count, _row_counts, _run_counts, lattice_at_sites,
                    lattice_support, sample_lattice, stable_index)
-from .rng import _M64, RngStream, _mix64_vec, _uniform_rows, mix64
+from .rng import _M64, RngStream, _mix64_vec, mix64
 
 ENUMERATION_CAP = 12
 
@@ -152,7 +147,8 @@ def _power_sums(counts: np.ndarray, runs: np.ndarray, beta: float) -> np.ndarray
 
 def range_z(zpath: ZPath) -> int:
     """Number of distinct values among Z_0..Z_n (the starting 0 included)."""
-    return int(_distinct(zpath.values).size)
+    # a sort: _local_times would also build an inverse as large as the path
+    return int(np.count_nonzero(_row_counts(zpath.values[None].copy())[2]))
 
 
 def z_spread(zpath: ZPath) -> int:
@@ -167,7 +163,7 @@ def z_self_intersections(zpath: ZPath) -> int:
     convention; the Cauchy-Schwarz bound n^2 <= range * this quantity
     holds regardless because every counted level lies in the range set.
     """
-    _, cnt = _counts(zpath.values[1:])
+    _, cnt, _ = _local_times(zpath.values[1:])
     return int((cnt.astype(np.int64) ** 2).sum())
 
 
@@ -251,9 +247,6 @@ def no_return_z_count(model: RwrsModel, horizon: int, trials: int,
     walk) walk their trials side by side, a step at a time; the others
     walk each trial's row whole.
     """
-    if horizon < 1 or trials < 0:
-        raise ValueError(f"horizon must be at least 1 and trials nonnegative, "
-                         f"got {horizon} and {trials}")
     return _no_return_count(model.walk_law, model.scenery_law,
                             mix64(master_seed, _BATCH_TAG, horizon), horizon, trials,
                             (10, 11), True, False, False)
@@ -300,33 +293,14 @@ def _trial_block(model: RwrsModel, n: int, seeds, chunk: int):
     seeds, as one (trials x n) kernel: one array per ScenerySummary field
     after steps, one entry per seed.
 
-    Each walk draws its steps from its own stream and reads its own
-    scenery field, as in simulate_rwrs.  The kernel walks chunk steps of
-    every row at a time and carries each row's position, scenery sum,
-    extremes, first return, local times and level counts over.
+    Each walk has its own stream and scenery field, as in simulate_rwrs,
+    walked by laws._marked_trials, which counts each row's sites and Z
+    levels.
     """
-    rows = len(seeds)
-    walk = _mix64_vec(seeds, _WALK_TAG)
-    # the scenery field of simulate_rwrs at each seed
-    key0, key1 = (k[:, None] for k in _field_keys(_mix64_vec(seeds, _SCENERY_TAG)))
-    s_end = z_end = z_min = z_max = first_return = np.zeros(rows, dtype=np.int64)
-    sites = levels = _row_counts(np.zeros((rows, 0), dtype=np.int64))
-    for c0 in range(0, n, chunk):
-        w = min(chunk, n - c0)
-        # as sample_lattice: u1 of step k is uniform n + k of the walk's stream
-        u1 = (_uniform_rows(walk, w, n + c0)
-              if model.walk_law.kind == "pareto_tail" else None)
-        steps = _values_from_uniforms(model.walk_law, _uniform_rows(walk, w, c0), u1)
-        s = _positions(steps, s_end)
-        z = _positions(lattice_at_keyed_sites(model.scenery_law, key0, key1, s), z_end)
-        home = z == 0
-        hit = np.where(home.any(axis=1), c0 + home.argmax(axis=1) + 1, 0)
-        first_return = np.where(first_return > 0, first_return, hit)
-        z_min = np.minimum(z_min, z.min(axis=1))
-        z_max = np.maximum(z_max, z.max(axis=1))
-        s_end, z_end = s[:, -1].copy(), z[:, -1].copy()
-        sites = _row_counts(s, sites)
-        levels = _row_counts(z, levels)
+    _, z_end, z_min, z_max, first_return, (sites, levels) = _marked_trials(
+        model.walk_law, model.scenery_law, _mix64_vec(seeds, _WALK_TAG),
+        _mix64_vec(seeds, _SCENERY_TAG), n, chunk, True, False,
+        (lambda s, z: s, lambda s, z: z))
     counts, runs = _run_counts(*sites[1:])
     level_counts, distinct = _run_counts(*levels[1:])
     # per-row sums of squares; the appended 0 keeps reduceat's row starts

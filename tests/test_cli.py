@@ -1,5 +1,6 @@
 """Command-line behavior: configs, outputs, exit codes, exact tables."""
 
+import ast
 import csv
 import json
 import math
@@ -387,3 +388,34 @@ def test_module_entry_point_answers():
                           "--p", "0.5", "--L", "2"], capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert float(out.stdout) == 0.875
+
+
+# ---------------------------------------------------------------------------
+# package hygiene
+
+
+def _top_level_private_names(tree):
+    for node in tree.body:
+        targets = ([node] if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   else node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for t in targets:
+            name = getattr(t, "name", getattr(t, "id", None))
+            if name and name.startswith("_") and not name.startswith("__"):
+                yield name
+
+
+def test_every_private_name_is_used_in_the_package():
+    # a helper a refactor left behind fails here: each top-level private
+    # name must be read somewhere in the package, an import not counting
+    trees = [ast.parse(p.read_text())
+             for p in sorted(Path(rangelab.__file__).parent.glob("*.py"))]
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    orphans = {n for tree in trees for n in _top_level_private_names(tree)} - used
+    assert not orphans, sorted(orphans)

@@ -100,9 +100,19 @@ def test_ndtri_port_is_scipys_bit_for_bit_on_every_branch():
     check([e2, 1.0 - e2, *ulps, 0.0, 1.0, 0.5])
     check([2.0 ** -k for k in range(1, 1075)])  # down to the least subnormal
     check([1.0 - 2.0 ** -k for k in range(1, 54)])
-    for k in range(1, 54):
+    for k in range(1, 53):
         c = 1.0 - 2.0 ** -k
         assert bits(harness._normal_quantile(c)) == bits(ndtri(0.5 + c / 2.0)), k
+    # at k = 53, 0.5 + c/2 rounds to 1, so the quantile comes from the lower tail
+    top = harness._normal_quantile(1.0 - 2.0 ** -53)
+    assert math.isfinite(top) and top > harness._normal_quantile(1.0 - 2.0 ** -52)
+    assert top == -float(ndtri(2.0 ** -54))
+
+
+def test_interval_is_finite_at_the_largest_confidence():
+    c = 1.0 - 2.0 ** -53
+    assert TrialStats.from_values([5.0, 5.0]).ci_half(c) == 0.0
+    assert TrialStats.from_values([4.0, 5.0]).ci_half(c) == pytest.approx(4.146, abs=1e-3)
 
 
 @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.5, 1.5, math.nan, math.inf])

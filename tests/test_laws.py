@@ -16,8 +16,8 @@ from rangelab.laws import (LatticeLaw, StableLaw, gaussian_limit,
                            sample_stable, simple_symmetric, stable_cf,
                            stable_index, ternary)
 from rangelab import laws
-from rangelab.laws import (_counts, _distinct, _keyed_signs, _local_times,
-                           _pareto_magnitudes, _pareto_tables, _values_from_uniforms)
+from rangelab.laws import (_keyed_signs, _local_times, _pareto_magnitudes, _pareto_tables,
+                           _values_from_uniforms)
 from rangelab.oriented import _encode_sites, no_return_count
 from rangelab.rng import RngStream, keyed_uniform
 from rangelab.rwrs import RwrsModel, no_return_z_count
@@ -382,14 +382,10 @@ _INT_ARRAYS = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_distinct_and_local_times_equal_numpy_unique(a):
     values, inverse, counts = np.unique(a, return_inverse=True, return_counts=True)
-    got = _distinct(a)
-    assert got.dtype == np.int64 and np.array_equal(got, values)
     v, c, inv = _local_times(a)
     assert v.dtype == np.int64 and np.array_equal(v, values)
     assert np.array_equal(c, counts)
     assert np.array_equal(inv, inverse.reshape(-1))
-    v, c = _counts(a)
-    assert np.array_equal(v, values) and np.array_equal(c, counts)
 
 
 # ---------------------------------------------------------------------------

@@ -340,10 +340,12 @@ def test_transient_range_fraction_decreases_and_concentrates():
 def test_trial_block_chunks_do_not_change_results():
     # several walks read in column chunks that split the rows anywhere,
     # against one chunk; the heavy-tailed walk reads each step's second
-    # uniform n steps further on
+    # uniform n steps further on, and the lazy walk on a heavy-tailed
+    # scenery carries holds and an int64 field across the seams
     seeds = _mix64_vec(4, np.arange(6, dtype=np.uint64))
     heavy = RwrsModel(pareto_tail(1.5), rademacher())
-    for model, n in ((SIMPLE_TERN, 300), (heavy, 2003)):
+    lazy_heavy = RwrsModel(lazy_vertical(0.3), pareto_tail(0.8))
+    for model, n in ((SIMPLE_TERN, 300), (heavy, 2003), (lazy_heavy, 500)):
         want = _trial_block(model, n, seeds, 1 << 20)
         for chunk in (1, 7, n - 1):
             got = _trial_block(model, n, seeds, chunk)
