@@ -12,7 +12,9 @@ variance 2 * a1.
 
 Lattice laws are integer-valued distributions used as walk steps and
 scenery values.  All of them are symmetric, hence centered whenever the
-mean exists, and their support generates the integers.
+mean exists, and their support generates the integers.  Steps and site
+values are decoded from 64-bit words w as the inverse CDF decodes the
+uniform (w >> 11) * 2^-53, which only pareto_tail forms.
 
 Both models' Monte Carlo kernels live here too.  Each model sums a
 hashed site field along a walk: rwrs marks every arrival site, the
@@ -32,8 +34,7 @@ from itertools import islice
 
 import numpy as np
 
-from .rng import (RngStream, _finalize_vec, _mix64_vec, _uniform_rows, as_generator,
-                  keyed_uniform, site_hash)
+from .rng import RngStream, _keyed_words, _mix64_vec, _word_rows, as_generator, site_hash
 
 # ---------------------------------------------------------------------------
 # stable laws
@@ -329,29 +330,36 @@ def _deep_magnitudes(index: float, z: float, target: np.ndarray) -> np.ndarray:
     return hi.astype(np.int64)
 
 
-def _values_from_uniforms(law: LatticeLaw, u0: np.ndarray,
-                          u1: np.ndarray | None) -> np.ndarray:
-    """Map uniform pairs to law values; the single shared inversion kernel.
+def _at_cut(w: np.ndarray, cut: float) -> np.ndarray:
+    # (w >> 11) * 2^-53 >= cut, without the float: w >= ceil(cut * 2^53) << 11;
+    # no word reaches a cut that rounds to 1.0
+    t = math.ceil(cut * 2.0**53)
+    return w >= np.uint64(t << 11) if t < 1 << 53 else np.zeros(np.shape(w), dtype=bool)
 
-    Only pareto_tail reads u1; the other kinds accept None for it.  The
-    bounded kinds come back as int8, pareto_tail as int64.
+
+def _values_from_words(law: LatticeLaw, w0: np.ndarray,
+                       w1: np.ndarray | None) -> np.ndarray:
+    """Map pairs of 64-bit words to law values; the single shared decoder.
+
+    The bounded kinds compare w0 with their cuts, the two-point ones read
+    its top bit; only pareto_tail reads w1, the other kinds accept None
+    for it.  The bounded kinds come back as int8, pareto_tail as int64.
     """
     if law.kind in _TWO_POINT:
-        out = (u0 >= 0.5).view(np.int8)
+        out = (w0 >= np.uint64(1 << 63)).view(np.int8)
         out += out - 1
         return out
-    if law.kind in ("ternary", "lazy_vertical"):
-        zm = law.zero_mass
-        out = (u0 >= zm).view(np.int8)
-        out -= 2 * (u0 >= zm + (1.0 - zm) / 2.0).view(np.int8)
+    # the ternary kinds give 0, +1, -1 between their cuts, and so do the
+    # atom and the two signed tails of pareto_tail
+    zm = law.zero_mass if law.kind != "pareto_tail" else lattice_pmf(law, 0)
+    out = _at_cut(w0, zm).view(np.int8)
+    out -= 2 * _at_cut(w0, zm + (1.0 - zm) / 2.0).view(np.int8)
+    if law.kind != "pareto_tail":
         return out
-    # pareto_tail: u0 picks atom vs signed tail, u1 picks the magnitude
-    p0 = lattice_pmf(law, 0)
-    out = np.zeros(u0.shape, dtype=np.int64)
-    tail = u0 >= p0
+    out = np.asarray(out, dtype=np.int64)
+    tail = out != 0
     if tail.any():
-        sign = np.where(u0[tail] < p0 + (1.0 - p0) / 2.0, 1, -1)
-        out[tail] = sign * _pareto_magnitudes(law, u1[tail])
+        out[tail] *= _pareto_magnitudes(law, (w1[tail] >> np.uint64(11)) * 2.0**-53)
     return out
 
 
@@ -359,14 +367,10 @@ def _keyed_signs(keys, sites, out=None, work=None) -> np.ndarray:
     """The two-point laws' values at keyed sites, as int8: into the int8
     array out, hashing in the pair of uint64 arrays work, when given.
 
-    u0 < 1/2 holds exactly when the top bit of the site hash is clear, so
-    the sign is read off that bit without forming the uniform, and before
-    the finalizer's closing z ^= z >> 31, which never changes it.
+    The sign is the top bit of the site's word, read before the
+    finalizer's closing z ^= z >> 31, which never changes it.
     """
-    h, t = (None, None) if work is None else work
-    h = np.bitwise_xor(np.asarray(sites, dtype=np.int64).view(np.uint64),
-                       np.asarray(keys, dtype=np.uint64), out=h)
-    h = _finalize_vec(h, t, last=False)
+    h = _keyed_words(keys, sites, work, last=False)
     signs = np.less(np.asarray(h).view(np.int64), 0,
                     out=None if out is None else out.view(bool)).view(np.int8)
     signs += signs - 1
@@ -384,23 +388,23 @@ def _lattice_blocks(law: LatticeLaw, rng, n: int, chunk: int):
     """Yield n draws from ``law`` in consecutive blocks of at most chunk draws,
     so that the blocks do not depend on chunk.
 
-    u0 is read from the first n uniforms of rng and, for pareto_tail only,
-    u1 from the next n.  Across blocks u1 comes from a second generator of
-    the stream moved past the first n (Philox advance(k) skips 4k
-    uniforms), so rng must then be an RngStream, not a Generator.
+    w0 is read from the first n raw words of rng and, for pareto_tail only,
+    w1 from the next n.  Across blocks w1 comes from a second generator of
+    the stream moved past the first n (Philox advance(k) skips 4k words),
+    so rng must then be an RngStream, not a Generator.
     """
-    gen = as_generator(rng)
+    bits = as_generator(rng).bit_generator
     second = None
     if law.kind == "pareto_tail":
-        second = gen
+        second = bits
         if n > chunk:
-            second = rng.generator()
-            second.bit_generator.advance(n // 4)
-            second.random(n % 4)
+            second = rng.generator().bit_generator
+            second.advance(n // 4)
+            second.random_raw(n % 4)
     for done in range(0, n, chunk):
         m = min(chunk, n - done)
-        yield _values_from_uniforms(  # arguments run in order: u0 before u1
-            law, gen.random(m), None if second is None else second.random(m))
+        yield _values_from_words(  # arguments run in order: w0 before w1
+            law, bits.random_raw(m), None if second is None else second.random_raw(m))
 
 
 # draws the batch kernels decode and walk at a time, so that a block's
@@ -463,8 +467,8 @@ def lattice_at_keyed_sites(law: LatticeLaw, key0, key1, sites) -> np.ndarray:
     """
     if law.kind in _TWO_POINT:
         return _keyed_signs(key0, sites)
-    u1 = keyed_uniform(key1, sites) if law.kind == "pareto_tail" else None
-    return _values_from_uniforms(law, keyed_uniform(key0, sites), u1)
+    w1 = _keyed_words(key1, sites) if law.kind == "pareto_tail" else None
+    return _values_from_words(law, _keyed_words(key0, sites), w1)
 
 
 # -- marked walks ---------------------------------------------------------------
@@ -501,9 +505,9 @@ def _marked_trials(walk: LatticeLaw, field: LatticeLaw, streams, fields, n: int,
     seen = [_row_counts(np.zeros((len(streams), 0), dtype=np.int64)) for _ in tallies]
     for c0 in range(0, n, chunk):
         w = min(chunk, n - c0)
-        # as sample_lattice: u1 of step k is uniform n + k of the stream
-        u1 = _uniform_rows(streams, w, n + c0) if walk.kind == "pareto_tail" else None
-        steps = _values_from_uniforms(walk, _uniform_rows(streams, w, c0), u1)
+        # as sample_lattice: w1 of step k is word n + k of the stream
+        w1 = _word_rows(streams, w, n + c0) if walk.kind == "pareto_tail" else None
+        steps = _values_from_words(walk, _word_rows(streams, w, c0), w1)
         pos, total = _marked_walk(steps, field, key0, key1, mark_moves, pos_end, end)
         home = (total | pos if at_origin else total) == 0
         hit = np.where(home.any(axis=1), c0 + home.argmax(axis=1) + 1, 0)
@@ -521,9 +525,11 @@ def _marked_trials(walk: LatticeLaw, field: LatticeLaw, streams, fields, n: int,
 
 # the steps a time-major slab of trials holds, in bytes
 _SLAB_BYTES = 1 << 22
-# fewer trials than this walk faster row by row: a time-major step costs
-# about a dozen vector calls whatever the width, a row-major block two cumsums
+# fewer trials than this walk faster row by row: a time-major step costs a
+# dozen vector calls on its unreturned trials, a row-major block two cumsums
 _SLAB_MIN_TRIALS = 4096
+# the share of a time-major slab's walked trials that, returned, are dropped
+_RETIRE = 0.25
 
 
 def _no_return_count(walk: LatticeLaw, field: LatticeLaw, base: int, horizon: int,
@@ -537,15 +543,14 @@ def _no_return_count(walk: LatticeLaw, field: LatticeLaw, base: int, horizon: in
     them in chunks of 2^22 // horizon trials, marked as _marked_walk marks
     them by the field of law field under the keys site_hash(base, i,
     counter=c) for c in counters, key0 first and key1 last.  With
-    at_origin a return also needs the walker at 0.  even says that walker
-    plus sum changes parity at every step, so that returns fall at even
-    times, and only those are tested.
+    at_origin a return also needs the walker at 0.  even says that returns
+    fall at even times only, and only those are tested.
 
     A chunk is walked in slabs of consecutive trials holding at most
     _SLAB_BYTES of steps.  A slab of _SLAB_MIN_TRIALS trials or more
-    stores its steps time-major, one row per time, and walks all its
-    trials side by side one step at a time; a narrower one walks its
-    blocks row by row.  Both give the same count.
+    stores its steps time-major, one row per time, and walks its trials
+    side by side one step at a time until they return (see _RETIRE); a
+    narrower one walks its blocks row by row.  Both give the same count.
     """
     if horizon < 1 or trials < 0:
         raise ValueError(f"horizon must be at least 1 and trials nonnegative, "
@@ -587,7 +592,9 @@ def _row_major(blocks, field, key0, key1, mark_moves, at_origin, even) -> int:
 
 def _time_major(blocks, field, key0, key1, mark_moves, at_origin, even) -> int:
     # _row_major's count, from the blocks' steps stored one row per time and
-    # walked a time at a time: each step adds into one vector per quantity
+    # walked a time at a time: each step adds into one vector per quantity.
+    # Once _RETIRE of the trials walked have returned, only the others walk
+    # on, reading their steps through cols, their columns in steps.
     steps = None
     col = 0
     for ids, part in blocks:
@@ -595,23 +602,33 @@ def _time_major(blocks, field, key0, key1, mark_moves, at_origin, even) -> int:
             steps = np.empty((part.shape[1], key0.size), dtype=part.dtype)
         steps[:, col:col + ids.size] = part.T
         col += ids.size
-    pos = np.zeros(col, dtype=np.int64)
-    total = np.zeros(col, dtype=np.int64)
-    either = np.empty(col, dtype=np.int64) if at_origin else None
-    hold = np.empty(col, dtype=bool)
-    alive = np.ones(col, dtype=bool)
-    if field.kind in _TWO_POINT:  # hashed into buffers kept across steps
-        signs, work = np.empty(col, dtype=np.int8), np.empty((2, col), dtype=np.uint64)
+    pos, total = np.zeros((2, col), dtype=np.int64)
+    alive, cols = np.ones(col, dtype=bool), None
+    # buffers kept across steps; signs and work hash a two-point field
+    either, hold = np.empty(col, dtype=np.int64), np.empty(col, dtype=bool)
+    signs, work = np.empty(col, dtype=np.int8), np.empty((2, col), dtype=np.uint64)
     for t, step in enumerate(steps, 1):
+        if cols is not None:
+            step = step.take(cols)
         pos += step
         mark = (_keyed_signs(key0, pos, signs, work) if field.kind in _TWO_POINT
                 else lattice_at_keyed_sites(field, key0, key1, pos))
         if not mark_moves:
             mark *= np.equal(step, 0, out=hold)
         total += mark
-        if not (even and t % 2):
-            np.logical_and(alive, np.bitwise_or(total, pos, out=either)
-                           if at_origin else total, out=alive)
+        if even and t % 2:
+            continue
+        np.logical_and(alive, np.bitwise_or(total, pos, out=either)
+                       if at_origin else total, out=alive)
+        left = np.count_nonzero(alive)
+        if pos.size - left >= _RETIRE * pos.size:
+            if not left:
+                return 0
+            keep = np.flatnonzero(alive)
+            cols = keep if cols is None else cols[keep]
+            pos, total, alive = pos[keep], total[keep], alive[keep]
+            key0, key1 = (key0[keep],) * 2 if key1 is key0 else (key0[keep], key1[keep])
+            either, hold, signs, work = either[:left], hold[:left], signs[:left], work[:, :left]
     return int(np.count_nonzero(alive))
 
 

@@ -325,7 +325,7 @@ def no_return_count(p: float, horizon: int, trials: int, master_seed: int) -> in
     mix64(master_seed, _BATCH_TAG, horizon).  Every step moves x + y by
     one, so returns are tested at even times only.  Batches of 4,096
     trials or more at horizons up to 1,024 walk their trials side by side,
-    a step at a time; the others walk each trial's row whole.
+    a step at a time, until they return; the others walk each row whole.
     """
     _check_p(p)
     return _no_return_count(lazy_vertical(p), rademacher(),

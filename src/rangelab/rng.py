@@ -4,7 +4,8 @@ All random quantities are pure functions of a 64-bit master seed.  Bulk
 draws (path increments, stable variates) come from numpy's counter-based
 Philox generator keyed by ``(master_seed, stream_id)``, so any number of
 streams can be split off without coordination and trials may run in any
-order, on any worker, with identical results.
+order, on any worker, with identical results.  Lattice steps are decoded
+from its raw 64-bit words (``random_raw``), site values from hashed words.
 
 Individual lattice sites (environment rows, scenery cells) are hashed
 directly with a splitmix64 finalizer instead of consuming generator
@@ -73,22 +74,18 @@ def site_hash(seed: int, sites, counter: int = 0) -> np.ndarray:
     Bit-identical to the scalar route: the scalar prefix is absorbed
     first, then each site gets one more finalizer round.
     """
-    prefix = np.uint64(mix64(seed, counter))
-    return _finalize_vec(np.asarray(sites, dtype=np.int64).view(np.uint64) ^ prefix)
+    return _keyed_words(mix64(seed, counter), sites)
 
 
-def keyed_uniform(keys, sites) -> np.ndarray:
-    """Uniform [0, 1) variates with a 53-bit mantissa from (key, site)
-    pairs; keys broadcast against sites.
-
-    Under the key mix64(seed, c) a site's uniform reads the top bits of
-    ``site_hash(seed, site, c)``; one key per trial row evaluates many
-    independent fields in a single vectorized pass.
-    """
-    z = _finalize_vec(np.asarray(sites, dtype=np.int64).view(np.uint64)
-                      ^ np.asarray(keys, dtype=np.uint64))
-    z >>= np.uint64(11)
-    return z * 2.0**-53
+def _keyed_words(keys, sites, work=None, last: bool = True) -> np.ndarray:
+    """site_hash's words under the keys mix64(seed, c), keys broadcasting
+    against sites, so that one key per row hashes one field per row;
+    hashed in the pair of uint64 arrays work when given (last as in
+    _finalize_vec)."""
+    h, t = (None, None) if work is None else work
+    h = np.bitwise_xor(np.asarray(sites, dtype=np.int64).view(np.uint64),
+                       np.asarray(keys, dtype=np.uint64), out=h)
+    return _finalize_vec(h, t, last)
 
 
 @dataclass(frozen=True)
@@ -113,12 +110,15 @@ class RngStream:
         return RngStream(mix64(self.master_seed, self.stream_id, tag), 0)
 
 
-def _uniform_rows(seeds, width: int, start: int = 0) -> np.ndarray:
-    """Row r holds uniforms start..start+width-1 of RngStream(seeds[r], 0):
-    one stream per trial, stacked into a block."""
-    u = np.empty((len(seeds), width))
+# raw words a row takes from Philox at a time, so a long row is not held twice
+_RAW_SLICE = 1 << 16
+
+
+def _word_rows(seeds, width: int, start: int = 0) -> np.ndarray:
+    """Row r holds raw words start..start+width-1 of RngStream(seeds[r], 0),
+    the words under its uniforms: one stream per trial, stacked into a block."""
+    w = np.empty((len(seeds), width), dtype=np.uint64)
     bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-    gen = np.random.Generator(bits)
     # a new stream's state, nothing buffered and counter start // 4 (where
     # advance(start // 4) puts it), is set per row rather than building a
     # generator per row, which costs four times more
@@ -129,9 +129,10 @@ def _uniform_rows(seeds, width: int, start: int = 0) -> np.ndarray:
         state["state"]["key"][0] = seed
         bits.state = state
         if skip:
-            gen.random(skip)
-        gen.random(out=u[row])
-    return u
+            bits.random_raw(skip)
+        for j in range(0, width, _RAW_SLICE):
+            w[row, j:j + _RAW_SLICE] = bits.random_raw(min(_RAW_SLICE, width - j))
+    return w
 
 
 def _mix64_vec(*words) -> np.ndarray:

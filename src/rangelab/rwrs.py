@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .enumeration import marked_sum_law, no_return_probability
-from .laws import (_BLOCK_STEPS, LatticeLaw, _local_times, _marked_trials,
+from .laws import (_BLOCK_STEPS, _TWO_POINT, LatticeLaw, _local_times, _marked_trials,
                    _no_return_count, _row_counts, _run_counts, lattice_at_sites,
                    lattice_support, sample_lattice, stable_index)
 from .rng import _M64, RngStream, _mix64_vec, mix64
@@ -163,8 +163,9 @@ def z_self_intersections(zpath: ZPath) -> int:
     convention; the Cauchy-Schwarz bound n^2 <= range * this quantity
     holds regardless because every counted level lies in the range set.
     """
-    _, cnt, _ = _local_times(zpath.values[1:])
-    return int((cnt.astype(np.int64) ** 2).sum())
+    # a sort, as in range_z
+    cnt, _ = _run_counts(*_row_counts(zpath.values[None, 1:].copy())[1:])
+    return int((cnt ** 2).sum())
 
 
 def scaling_exponent(alpha: float, beta: float) -> float:
@@ -242,14 +243,15 @@ def no_return_z_count(model: RwrsModel, horizon: int, trials: int,
     arrival site: trial i has its own scenery field, under the keys
     site_hash(base, i, counter=10) and counter=11 with base
     mix64(master_seed, _BATCH_TAG, horizon), so revisited sites within a
-    trial reproduce their value while trials stay independent.  Batches
+    trial reproduce their value while trials stay independent.  A two-point
+    scenery moves Z by one a step, so only even times are tested.  Batches
     of 4,096 trials or more at horizons up to 1,024 (128 for a pareto
-    walk) walk their trials side by side, a step at a time; the others
-    walk each trial's row whole.
+    walk) walk their trials side by side, a step at a time, until they
+    return; the others walk each trial's row whole.
     """
     return _no_return_count(model.walk_law, model.scenery_law,
                             mix64(master_seed, _BATCH_TAG, horizon), horizon, trials,
-                            (10, 11), True, False, False)
+                            (10, 11), True, False, model.scenery_law.kind in _TWO_POINT)
 
 
 @dataclass

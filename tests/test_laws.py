@@ -17,9 +17,9 @@ from rangelab.laws import (LatticeLaw, StableLaw, gaussian_limit,
                            stable_index, ternary)
 from rangelab import laws
 from rangelab.laws import (_keyed_signs, _local_times, _pareto_magnitudes, _pareto_tables,
-                           _values_from_uniforms)
+                           _values_from_words)
 from rangelab.oriented import _encode_sites, no_return_count
-from rangelab.rng import RngStream, keyed_uniform
+from rangelab.rng import RngStream, _finalize_vec
 from rangelab.rwrs import RwrsModel, no_return_z_count
 
 # ---------------------------------------------------------------------------
@@ -250,25 +250,70 @@ def test_sampler_matches_pmf(law):
     assert chisquare(counts, expected).pvalue > 1e-3
 
 
-@pytest.mark.parametrize("law", [rademacher(), simple_symmetric(), ternary(0.3),
-                                 lazy_vertical(0.6)])
-def test_decoder_cuts_belong_to_the_upper_value(law):
-    # a uniform exactly at a cut of the inverse CDF decodes to the value
-    # above the cut: two-point laws cut at 1/2 (-1 | +1), the ternary
-    # kinds at zm and zm + (1 - zm)/2 (0 | +1 | -1)
+def uniforms(words):
+    # the uniform Generator.random forms from each 64-bit word
+    return (np.asarray(words, dtype=np.uint64) >> np.uint64(11)) * 2.0**-53
+
+
+def cuts_and_values(law):
+    # the inverse CDF's cuts and the values between them: two-point laws
+    # cut at 1/2 (-1 | +1), the ternary kinds at zm and zm + (1 - zm)/2
+    # (0 | +1 | -1)
     if law.kind in ("rademacher", "simple_symmetric"):
-        cuts, values = [0.5], [-1, 1]
-    else:
-        zm = law.zero_mass
-        cuts, values = [zm, zm + (1.0 - zm) / 2.0], [0, 1, -1]
-    u = [0.0]
-    want = [values[0]]
-    for cut, value, below in zip(cuts, values[1:], values):
-        u += [np.nextafter(cut, 0.0), cut]
-        want += [below, value]
-    u.append(np.nextafter(1.0, 0.0))
-    want.append(values[-1])
-    assert _values_from_uniforms(law, np.array(u), None).tolist() == want
+        return [0.5], [-1, 1]
+    zm = law.zero_mass
+    return [zm, zm + (1.0 - zm) / 2.0], [0, 1, -1]
+
+
+BOUNDED_LAWS = [rademacher(), simple_symmetric(), ternary(0.3), lazy_vertical(0.6),
+                ternary(0.0), lazy_vertical(1.0 - 2.0**-53)]
+
+
+@pytest.mark.parametrize("law", BOUNDED_LAWS)
+def test_decoder_cuts_belong_to_the_upper_value(law):
+    # T = ceil(cut * 2^53): the word T * 2^11 is the first whose uniform
+    # reaches the cut and decodes to the value above it, the word before it
+    # to the value below; a cut that rounds to 1.0 (T = 2^53) no word reaches
+    cuts, values = cuts_and_values(law)
+    ts = [math.ceil(cut * 2**53) for cut in cuts]
+    words = [0, 2**64 - 1]
+    want = [values[sum(t == 0 for t in ts)], values[sum(t < 2**53 for t in ts)]]
+    for cut, t, below, above in zip(cuts, ts, values, values[1:]):
+        assert t <= 2**53
+        if 0 < t < 2**53:
+            assert uniforms([t * 2**11 - 1])[0] < cut <= uniforms([t * 2**11])[0]
+            words += [t * 2**11 - 1, t * 2**11]
+            want += [below, above]
+    got = _values_from_words(law, np.array(words, dtype=np.uint64), None)
+    assert got.dtype == np.int8 and got.tolist() == want
+
+
+_CUT_WORDS = sorted({math.ceil(c * 2**53) << 11 for law in BOUNDED_LAWS
+                     for c in cuts_and_values(law)[0] if c < 1.0})
+
+
+@given(st.lists(st.one_of(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    # words within a few units of the last place of a cut's uniform
+    st.tuples(st.sampled_from(_CUT_WORDS), st.integers(-3 << 11, 3 << 11)).map(
+        lambda cw: min(max(cw[0] + cw[1], 0), 2**64 - 1))), min_size=1, max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_word_decoder_reads_the_words_as_their_uniforms(words):
+    # every bounded law decodes a word as the inverse CDF decodes its uniform
+    u = uniforms(words)
+    w = np.array(words, dtype=np.uint64)
+    for law in BOUNDED_LAWS:
+        cuts, values = cuts_and_values(law)
+        want = np.select([u < c for c in cuts], values[:-1], values[-1])
+        assert _values_from_words(law, w, None).tolist() == want.tolist()
+    # pareto_tail: the atom and signs as a ternary law with zero mass p0,
+    # the magnitude by inverting the uniform of the second word
+    law = pareto_tail(1.3)
+    p0 = lattice_pmf(law, 0)
+    w1 = w[::-1].copy()
+    want = np.select([u < p0, u < p0 + (1.0 - p0) / 2.0], [0, 1], -1)
+    want = want * _pareto_magnitudes(law, uniforms(w1))
+    assert _values_from_words(law, w, w1).tolist() == want.tolist()
 
 
 def test_pareto_sampler_matches_pmf_with_tail_bucket():
@@ -331,6 +376,12 @@ def test_keyed_route_and_decoder_dtypes_for_every_kind(law):
     assert direct.dtype == np.int64
     assert sample_lattice(law, RngStream(5, 0), size=10).dtype == np.int64
     assert keyed.dtype == (np.int64 if law.kind == "pareto_tail" else np.int8)
+
+
+def keyed_uniform(keys, sites):
+    # the float route of a site field: the uniform of the whole finalizer's word
+    return uniforms(_finalize_vec(np.asarray(sites, dtype=np.int64).view(np.uint64)
+                                  ^ np.asarray(keys, dtype=np.uint64)))
 
 
 def test_sign_shortcut_reads_the_uniform_route():
@@ -410,10 +461,12 @@ def counts_by_route(monkeypatch, count, *args):
 
 @pytest.mark.parametrize("walk", _WALKS)
 @pytest.mark.parametrize("field", _FIELDS)
-@pytest.mark.parametrize("horizon, trials", [(1, 700), (7, 5000), (64, 1300)])
+@pytest.mark.parametrize("horizon, trials", [(1, 700), (7, 5000), (64, 1300),
+                                              (256, 5000)])
 def test_both_routes_count_alike_for_every_law(monkeypatch, walk, field, horizon,
                                                 trials):
-    # 1300 and 5000 trials end in a part block (512 and 4681 trials a block)
+    # 1300 and 5000 trials end in a part block (512 and 4681 trials a block);
+    # over 256 steps the time-major route drops returned trials several times
     model = RwrsModel(_WALKS[walk], _FIELDS[field])
     got = counts_by_route(monkeypatch, no_return_z_count, model, horizon, trials, 3)
     assert got[0] == got[1] == got[2]

@@ -5,9 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rangelab import rng
 from rangelab.laws import lattice_at_sites, rademacher
-from rangelab.rng import (RngStream, _mix64_vec, _uniform_rows, as_generator,
-                          keyed_uniform, mix64, site_hash)
+from rangelab.rng import (RngStream, _finalize_vec, _mix64_vec, _word_rows, as_generator,
+                          mix64, site_hash)
+
+
+def keyed_uniform(keys, sites):
+    """Uniform [0, 1) variates with a 53-bit mantissa from (key, site) pairs,
+    keys broadcasting against sites: the float reading of a site field's
+    words, which the package decodes without forming the float."""
+    z = _finalize_vec(np.asarray(sites, dtype=np.int64).view(np.uint64)
+                      ^ np.asarray(keys, dtype=np.uint64))
+    z >>= np.uint64(11)
+    return z * 2.0**-53
 
 # splitmix64 golden values; a change here would silently re-randomize
 # every experiment in the package, so they are pinned hard
@@ -54,18 +65,37 @@ def test_vector_mix64_and_stacked_streams_match_the_scalar_ones(seed, words):
     arr = np.array(words, dtype=np.uint64)
     mixed = _mix64_vec(seed, arr, 17)
     assert [int(v) for v in mixed] == [mix64(seed, w, 17) for w in words]
-    rows = _uniform_rows(mixed, 9)
+    rows = _word_rows(mixed, 9)
+    assert rows.dtype == np.uint64
     for row, s in zip(rows, mixed):
-        assert (row == RngStream(int(s), 0).generator().random(9)).all()
+        assert (row == RngStream(int(s), 0).generator().bit_generator.random_raw(9)).all()
+        # the words under the uniforms Generator.random gives
+        assert ((row >> np.uint64(11)) * 2.0**-53
+                == RngStream(int(s), 0).generator().random(9)).all()
 
 
-def test_uniform_rows_start_mid_stream():
-    # a column chunk reads the uniforms the one-shot row holds there, from
-    # inside a Philox block of four and past a whole number of them
-    seeds = _mix64_vec(3, np.arange(5, dtype=np.uint64))
-    whole = _uniform_rows(seeds, 4097 + 9)
-    for start in (1, 3, 5, 4097):
-        assert (_uniform_rows(seeds, 9, start) == whole[:, start:start + 9]).all()
+def test_word_rows_start_mid_stream():
+    # a column chunk reads the words the one-shot row holds there, from
+    # inside a Philox block of four, past a whole number of them and across
+    # the slices a long row is filled in
+    seeds = _mix64_vec(3, np.arange(3, dtype=np.uint64))
+    whole = _word_rows(seeds, rng._RAW_SLICE + 9)
+    for row, s in zip(whole, seeds):
+        assert (row == RngStream(int(s), 0).generator().bit_generator.random_raw(
+            rng._RAW_SLICE + 9)).all()
+    for start in (1, 3, 5, 4097, rng._RAW_SLICE - 3):
+        assert (_word_rows(seeds, 9, start) == whole[:, start:start + 9]).all()
+
+
+def test_a_long_row_of_words_is_held_once():
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        _word_rows(np.array([7], dtype=np.uint64), 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6 + 16 * rng._RAW_SLICE
 
 
 def test_site_hash_golden():

@@ -274,6 +274,23 @@ def test_ternary_scenery_range_identity():
         assert range_z(zp) == z_spread(zp) + 1
 
 
+def test_level_counts_hold_no_inverse():
+    # Z's levels are counted by a sort of one copy of the path (8 MB per 10^6
+    # steps); an inverse index as large as the path would double that
+    import tracemalloc
+    zp = simulate_rwrs(SIMPLE_RAD, 10**6, 4)
+    _, counts = np.unique(zp.values[1:], return_counts=True)
+    for f, want in ((z_self_intersections, int((counts ** 2).sum())),
+                    (range_z, np.unique(zp.values).size)):
+        tracemalloc.start()
+        try:
+            got = f(zp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want and peak < 12e6
+
+
 def test_local_time_edge_cases():
     lt = LocalTimeMap(counts={0: 5}, steps=5)
     assert self_intersections(lt) == 25
