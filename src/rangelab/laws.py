@@ -331,8 +331,7 @@ def _deep_magnitudes(index: float, z: float, target: np.ndarray) -> np.ndarray:
 
 
 def _at_cut(w: np.ndarray, cut: float) -> np.ndarray:
-    # (w >> 11) * 2^-53 >= cut, without the float: w >= ceil(cut * 2^53) << 11;
-    # no word reaches a cut that rounds to 1.0
+    # (w >> 11) * 2^-53 >= cut without the float; no word reaches a cut of 1.0
     t = math.ceil(cut * 2.0**53)
     return w >= np.uint64(t << 11) if t < 1 << 53 else np.zeros(np.shape(w), dtype=bool)
 
@@ -528,7 +527,7 @@ _SLAB_BYTES = 1 << 22
 # fewer trials than this walk faster row by row: a time-major step costs a
 # dozen vector calls on its unreturned trials, a row-major block two cumsums
 _SLAB_MIN_TRIALS = 4096
-# the share of a time-major slab's walked trials that, returned, are dropped
+# the share of a time-major slab's trials that, once returned, are dropped
 _RETIRE = 0.25
 
 
@@ -628,7 +627,8 @@ def _time_major(blocks, field, key0, key1, mark_moves, at_origin, even) -> int:
             cols = keep if cols is None else cols[keep]
             pos, total, alive = pos[keep], total[keep], alive[keep]
             key0, key1 = (key0[keep],) * 2 if key1 is key0 else (key0[keep], key1[keep])
-            either, hold, signs, work = either[:left], hold[:left], signs[:left], work[:, :left]
+            either, hold, signs = either[:left], hold[:left], signs[:left]
+            work = work[:, :left]
     return int(np.count_nonzero(alive))
 
 
