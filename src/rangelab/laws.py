@@ -209,14 +209,9 @@ def _scipy_zeta():
     return zeta
 
 
-def _hurwitz_zeta(s: float, q: float) -> float:
-    # sum over j >= 0 of (j + q)^(-s)
-    return float(_scipy_zeta()(s, q))
-
-
 def _zeta1p(index: float) -> float:
     # zeta(1 + index) = sum over j >= 1 of j^(-1-index)
-    return _hurwitz_zeta(1.0 + index, 1.0)
+    return float(_scipy_zeta()(1.0 + index, 1.0))
 
 
 def lattice_pmf(law: LatticeLaw, k: int) -> float:
@@ -246,31 +241,9 @@ def lattice_support(law: LatticeLaw) -> list[tuple[int, float]]:
     return out
 
 
-def lattice_tail(law: LatticeLaw, t: int) -> float:
-    """Exact P(|X| > t) for integer t >= 0."""
-    t = int(t)
-    if law.kind != "pareto_tail":
-        return 0.0 if t >= 1 else 1.0 - lattice_pmf(law, 0)
-    return 2.0 * law.tail_constant * _hurwitz_zeta(1.0 + law.index, t + 1.0)
-
-
-def lattice_variance(law: LatticeLaw) -> float:
-    """Variance, for the finite-variance kinds."""
-    if law.kind in ("rademacher", "simple_symmetric"):
-        return 1.0
-    if law.kind in ("ternary", "lazy_vertical"):
-        return 1.0 - law.zero_mass
-    raise ValueError(f"variance of {law.kind} is not finite for index < 2")
-
-
 def stable_index(law: LatticeLaw) -> float:
     """Index of the stable law attracting the normalized partial sums."""
     return law.index if law.kind == "pareto_tail" else 2.0
-
-
-def gaussian_limit(law: LatticeLaw) -> StableLaw:
-    """Stable law of S_n / sqrt(n) for the finite-variance kinds (index 2)."""
-    return StableLaw(2.0, lattice_variance(law) / 2.0, 0.0)
 
 
 # -- sampling ---------------------------------------------------------------

@@ -190,38 +190,6 @@ def skew_product_environment(rng) -> Environment:
     return Environment(rng.child(_EPS_TAG).master_seed)
 
 
-def validate_path(path: LatticePath, env: Environment | None = None) -> None:
-    """Raise if the path violates the walk's structural constraints.
-
-    Checks unit steps, the match between step types and displacements,
-    and that horizontal moves on one row all share a single direction;
-    with an environment, that the direction is the environment's.
-    """
-    x, y, types = path.x, path.y, path.step_types
-    n = len(types)
-    if len(x) != n + 1 or len(y) != n + 1 or x[0] != 0 or y[0] != 0:
-        raise ValueError("path must start at the origin with n+1 positions")
-    dx = np.diff(x)
-    dy = np.diff(y)
-    hor = types == H
-    if not ((np.abs(dx[hor]) == 1).all() and (dy[hor] == 0).all()):
-        raise ValueError("horizontal steps must move x by one and hold y")
-    if not ((dx[~hor] == 0).all()
-            and (dy[types == UP] == 1).all() and (dy[types == DOWN] == -1).all()):
-        raise ValueError("vertical steps must move y by one and hold x")
-    uniq, cnt, inv = _local_times(y[:-1][hor])
-    rightward = np.bincount(inv[dx[hor] > 0], minlength=uniq.size)
-    mixed = (rightward > 0) & (rightward < cnt)
-    bad = mixed
-    if env is not None:
-        bad = mixed | (np.where(rightward > 0, 1, -1) != env.orientations(uniq))
-    if bad.any():  # report the lowest offending row, mixed directions first
-        i = int(np.argmax(bad))
-        if mixed[i]:
-            raise ValueError(f"row {uniq[i]} was crossed in both directions")
-        raise ValueError(f"row {uniq[i]} direction contradicts the environment")
-
-
 # ---------------------------------------------------------------------------
 # functionals of a realized path
 
@@ -235,17 +203,6 @@ def _encode_sites(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def range_sites(path: LatticePath) -> int:
     """Number of distinct lattice sites visited up to time n (time 0 included)."""
     return int(np.count_nonzero(_row_counts(_encode_sites(path.x, path.y)[None])[2]))
-
-
-def range_first_coordinate(path: LatticePath) -> int:
-    """Number of distinct x-values visited; equals max - min + 1 because the
-    first coordinate moves by steps in {-1, 0, 1}."""
-    return int(path.x.max() - path.x.min() + 1)
-
-
-def first_coordinate_spread(path: LatticePath) -> int:
-    """max - min of the first coordinate, the quantity with a scaling limit."""
-    return int(path.x.max() - path.x.min())
 
 
 def horizontal_local_time(path: LatticePath) -> HorizontalLocalTime:
@@ -357,14 +314,6 @@ def exact_annealed_law(p: float, n: int) -> dict:
     if not 0 <= n <= ENUMERATION_CAP:
         raise ValueError(f"exact law limited to horizons 0..{ENUMERATION_CAP}")
     return dict(_exact_law_cached(p, n))
-
-
-def exact_return_probability(p: float, n: int) -> float:
-    """Exact P(walk sits at the origin at time n); zero for odd n by parity."""
-    _check_p(p)
-    if not 0 <= n <= ENUMERATION_CAP:
-        raise ValueError(f"exact law limited to horizons 0..{ENUMERATION_CAP}")
-    return _exact_law_cached(p, n).get((0, 0), 0.0)
 
 
 def exact_no_return_probability(p: float, horizon: int) -> float:

@@ -20,7 +20,6 @@ no_return_z_count run the marked-walk kernels of laws.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,24 +118,14 @@ def self_intersections(lt: LocalTimeMap) -> int:
     return sum(c * c for c in lt.counts.values())
 
 
-def v_beta(lt: LocalTimeMap, beta: float) -> float:
-    """Generalized self-intersections: sum of local times to the power beta,
-    added one at a time in the map's order (sum() compensates from 3.12 on)."""
-    if beta <= 0:
-        raise ValueError("exponent must be positive")
-    total = 0.0
-    for c in lt.counts.values():
-        total += c ** beta
-    return total
-
-
 def _power_sums(counts: np.ndarray, runs: np.ndarray, beta: float) -> np.ndarray:
     """Per row r, the sum of c ** beta over the next runs[r] entries of counts.
 
     The terms are Python's float pow, taken once per distinct count:
     numpy's power differs from it in the last bit at some beta.  They are
-    added one at a time in order, as v_beta adds them (np.cumsum adds in
-    order, np.sum pairs terms up).
+    added one at a time in order, as a Python loop over
+    LocalTimeMap.counts adds them (np.cumsum adds in order, np.sum pairs
+    terms up).
     """
     uniq, _, inv = _local_times(counts)
     w = np.zeros((runs.size, int(runs.max(initial=0)) + 1))
@@ -156,45 +145,11 @@ def z_spread(zpath: ZPath) -> int:
     return int(zpath.values.max() - zpath.values.min())
 
 
-def z_self_intersections(zpath: ZPath) -> int:
-    """Level self-intersections of Z: sum over levels x of #{k in 1..n: Z_k = x}^2.
-
-    Z_0 is excluded from the level counts, mirroring the local-time
-    convention; the Cauchy-Schwarz bound n^2 <= range * this quantity
-    holds regardless because every counted level lies in the range set.
-    """
-    # a sort, as in range_z
-    cnt, _ = _run_counts(*_row_counts(zpath.values[None, 1:].copy())[1:])
-    return int((cnt ** 2).sum())
-
-
 def scaling_exponent(alpha: float, beta: float) -> float:
     """Growth exponent 1 - 1/alpha + 1/(alpha*beta) of the scenery sum."""
-    _check_indices(alpha, beta)
-    return 1.0 - 1.0 / alpha + 1.0 / (alpha * beta)
-
-
-def scaling_normalizer(alpha: float, beta: float, n: int) -> float:
-    """The sequence a_n that renders Z_n/a_n convergent in law.
-
-    Recurrent walks (alpha > 1) give n to the scaling exponent; the
-    boundary alpha = 1 picks up a logarithmic factor; transient walks
-    (alpha < 1) see every site O(1) times so only the scenery index
-    matters.
-    """
-    _check_indices(alpha, beta)
-    if n < 2:
-        raise ValueError("normalizer defined for n >= 2")
-    if alpha > 1.0:
-        return float(n) ** scaling_exponent(alpha, beta)
-    if alpha == 1.0:
-        return float(n) ** (1.0 / beta) * math.log(n) ** (1.0 - 1.0 / beta)
-    return float(n) ** (1.0 / beta)
-
-
-def _check_indices(alpha: float, beta: float) -> None:
     if not (0.0 < alpha <= 2.0 and 0.0 < beta <= 2.0):
         raise ValueError(f"indices must lie in (0, 2], got alpha={alpha} beta={beta}")
+    return 1.0 - 1.0 / alpha + 1.0 / (alpha * beta)
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +213,11 @@ def no_return_z_count(model: RwrsModel, horizon: int, trials: int,
 class ScenerySummary:
     """Range and self-intersection statistics without retaining the path.
 
-    vbeta is v_beta of the local times at the scenery index beta, zv the
-    level self-intersections of z_self_intersections, and first_return
-    the first time k >= 1 with Z_k = 0, 0 when there is none.
+    vbeta is the sum of c ** beta over the local times c, at the scenery
+    index beta and in site order; zv is the level self-intersection count,
+    the sum over levels x of #{k in 1..n : Z_k = x}^2 (Z_0 excluded, as
+    in the local times); first_return is the first time k >= 1 with
+    Z_k = 0, 0 when there is none.
     """
 
     steps: int

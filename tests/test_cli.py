@@ -394,28 +394,67 @@ def test_module_entry_point_answers():
 # package hygiene
 
 
-def _top_level_private_names(tree):
-    for node in tree.body:
-        targets = ([node] if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                   else node.targets if isinstance(node, ast.Assign)
-                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
-        for t in targets:
-            name = getattr(t, "name", getattr(t, "id", None))
-            if name and name.startswith("_") and not name.startswith("__"):
-                yield name
+PACKAGE = sorted(Path(rangelab.__file__).parent.glob("*.py"))
+
+
+def _reads(node):
+    # every name the node loads, bare or as an attribute
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+    return names
+
+
+def _definitions(node):
+    # the names a top-level statement defines, an import not counting
+    targets = ([node] if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               else node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n for t in targets if (n := getattr(t, "name", getattr(t, "id", None)))]
 
 
 def test_every_private_name_is_used_in_the_package():
     # a helper a refactor left behind fails here: each top-level private
     # name must be read somewhere in the package, an import not counting
-    trees = [ast.parse(p.read_text())
-             for p in sorted(Path(rangelab.__file__).parent.glob("*.py"))]
-    used = set()
-    for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    orphans = {n for tree in trees for n in _top_level_private_names(tree)} - used
+    trees = [ast.parse(p.read_text()) for p in PACKAGE]
+    used = set().union(*map(_reads, trees))
+    orphans = {n for tree in trees for node in tree.body for n in _definitions(node)
+               if n.startswith("_") and not n.startswith("__")} - used
     assert not orphans, sorted(orphans)
+
+
+def test_every_public_name_has_a_reader():
+    # a public name that only unit tests call fails here.  Its readers are
+    # the package, the benchmark and the two end-to-end test files; a name
+    # read only by definitions that have no reader has none either.  Each
+    # module-level import must be read in its module; __init__'s imports
+    # are the package's interface
+    repo = Path(__file__).resolve().parents[1]
+    readers = [*sorted((repo / "perfbench").glob("*.py")),
+               repo / "tests" / "test_acceptance.py", repo / "tests" / "test_streams.py"]
+    live = set().union(*(_reads(ast.parse(p.read_text())) for p in readers))
+    deps, unread_imports = {}, []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text())
+        module_reads = _reads(tree)
+        for node in tree.body:
+            names = _definitions(node)
+            for name in names:
+                deps.setdefault(name, set()).update(_reads(node))
+            if not names:
+                live |= _reads(node)
+            if (isinstance(node, (ast.Import, ast.ImportFrom)) and path.stem != "__init__"
+                    and getattr(node, "module", None) != "__future__"):
+                bound = (a.asname or a.name.split(".")[0] for a in node.names)
+                unread_imports += [f"{path.stem}.{b}" for b in bound if b not in module_reads]
+    todo = list(live)
+    while todo:
+        for name in deps.pop(todo.pop(), ()):
+            if name not in live:
+                live.add(name)
+                todo.append(name)
+    unread = sorted(n for n in deps if not n.startswith("_"))
+    assert not unread and not unread_imports, f"names {unread}, imports {unread_imports}"

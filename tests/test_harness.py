@@ -1,6 +1,7 @@
 """Experiment harness: exact statistics, determinism, fits, intervals."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -15,13 +16,11 @@ from rangelab.harness import (_MODEL_OUTPUTS, _SIZE_TAG, MAX_TOTAL_STEPS,
                               estimate_escape, expected_exponent,
                               parse_lattice_law, run_experiment, scaling_fit)
 from rangelab.laws import pareto_tail, rademacher, simple_symmetric, ternary
-from rangelab.oriented import (exact_no_return_probability,
-                               first_coordinate_spread, range_first_coordinate,
-                               range_sites, simulate_annealed)
+from rangelab.oriented import (exact_no_return_probability, range_sites,
+                               simulate_annealed)
 from rangelab.rng import mix64
 from rangelab.rwrs import (RwrsModel, range_z, self_intersections,
-                           simulate_rwrs, v_beta, z_self_intersections,
-                           z_spread)
+                           simulate_rwrs, z_spread)
 
 values_lists = st.lists(
     st.floats(allow_nan=False, allow_infinity=False,
@@ -438,16 +437,21 @@ def reference_trial(model, params, n, seed, horizon):
         path = simulate_annealed(params["p"], n, seed)
         hit = ((path.x[1:t + 1] == 0) & (path.y[1:t + 1] == 0)).any()
         return {"range": range_sites(path),
-                "first_range": range_first_coordinate(path),
-                "first_spread": first_coordinate_spread(path),
+                "first_range": len(set(path.x.tolist())),
+                "first_spread": int(path.x.max() - path.x.min()),
                 "escape": 0 if hit else 1}
     m = RwrsModel(parse_lattice_law(params["walk"]),
                   parse_lattice_law(params["scenery"]))
     zp = simulate_rwrs(m, n, seed)
+    # one term at a time in the local-time order: sum() compensates from
+    # Python 3.12 on
+    vbeta = 0.0
+    for c in zp.local_time.counts.values():
+        vbeta += c ** m.beta
+    levels = Counter(zp.values[1:].tolist()).values()
     return {"zrange": range_z(zp), "zspread": z_spread(zp),
-            "vn": self_intersections(zp.local_time),
-            "vbeta": v_beta(zp.local_time, m.beta),
-            "zv": z_self_intersections(zp),
+            "vn": self_intersections(zp.local_time), "vbeta": vbeta,
+            "zv": sum(c * c for c in levels),
             "escape": 0 if (zp.values[1:t + 1] == 0).any() else 1}
 
 

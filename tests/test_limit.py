@@ -1,4 +1,4 @@
-"""Discretized limit objects: stable paths, local time, field integrals."""
+"""Discretized limit objects: stable paths and field integrals."""
 
 import math
 
@@ -7,9 +7,8 @@ import pytest
 from scipy.stats import ks_2samp
 
 from rangelab.laws import StableLaw
-from rangelab.limit import (LimitGrid, PathFunctionals, build_limit_grid,
-                            estimate_local_time, first_coordinate_scale,
-                            integrate_field, path_functionals,
+from rangelab.limit import (PathFunctionals, _draw_components,
+                            first_coordinate_scale, path_functionals,
                             sample_scenery_integral, sample_stable_path)
 from rangelab.rng import RngStream
 
@@ -109,84 +108,7 @@ def test_self_similarity_of_the_halfway_marginal():
 
 
 # ---------------------------------------------------------------------------
-# local time
-
-
-def test_constant_path_concentrates_local_time_in_cell_zero():
-    m, h = 128, 0.25
-    flat = np.zeros(m + 1)
-    assert estimate_local_time(flat, h, 1.0, 2.0) == {0: 1.0 / h}
-    # halving the window halves the count but not the density
-    assert estimate_local_time(flat, h, 0.5, 2.0) == {0: 0.5 / h}
-
-
-def test_local_time_validation():
-    flat = np.zeros(9)
-    with pytest.raises(ValueError):
-        estimate_local_time(flat, 0.25, 1.0, 1.0)  # index must exceed 1
-    with pytest.raises(ValueError):
-        estimate_local_time(flat, 0.0, 1.0, 2.0)
-    with pytest.raises(ValueError):
-        estimate_local_time(flat, 0.25, 0.0, 2.0)
-    with pytest.raises(ValueError):
-        estimate_local_time(flat, 0.25, 1.5, 2.0)
-
-
-def test_occupation_identity_is_exact_at_time_one():
-    # every step lands in exactly one cell, so h * sum(L) telescopes to 1
-    m, h = 512, 1.0 / 16.0
-    for i in range(5):
-        y = sample_stable_path(BROWNIAN, m, RngStream(23, i))
-        local = estimate_local_time(y, h, 1.0, 2.0)
-        total = h * sum(local.values())
-        assert total == pytest.approx(1.0, abs=1e-12)
-        assert abs(total - 1.0) <= 2.0 / math.sqrt(m)
-
-
-def test_occupation_identity_at_partial_time():
-    m, h = 512, 0.125
-    y = sample_stable_path(BROWNIAN, m, RngStream(29, 0))
-    local = estimate_local_time(y, h, 0.5, 2.0)
-    assert h * sum(local.values()) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_origin_local_time_is_stable_under_mesh_refinement():
-    # mean density in the origin cell, coarse versus (m*10, h/4)
-    n = 1000
-
-    def mean_origin(m, h, seed):
-        vals = [estimate_local_time(
-            sample_stable_path(BROWNIAN, m, RngStream(seed, i)),
-            h, 1.0, 2.0).get(0, 0.0) for i in range(n)]
-        return float(np.mean(vals))
-
-    coarse = mean_origin(2048, 1.0 / 16.0, 31)
-    fine = mean_origin(20480, 1.0 / 64.0, 37)
-    assert abs(coarse - fine) / fine < 0.10
-
-
-# ---------------------------------------------------------------------------
 # the local-time integral against the field
-
-
-def test_zero_field_integrates_to_zero():
-    m, h = 256, 0.125
-    y = sample_stable_path(BROWNIAN, m, RngStream(41, 0))
-    cells = np.floor(y[1:] / h).astype(np.int64)
-    field = (np.unique(cells), np.zeros(np.unique(cells).size))
-    delta = integrate_field(cells, field, m, h)
-    assert delta.shape == (m + 1,)
-    assert np.all(delta == 0.0)
-    assert path_functionals(delta) == PathFunctionals(0.0, 0.0, 0.0)
-
-
-def test_missing_cell_is_rejected():
-    m, h = 64, 0.25
-    y = sample_stable_path(BROWNIAN, m, RngStream(43, 0))
-    cells = np.floor(y[1:] / h).astype(np.int64)
-    uniq = np.unique(cells)
-    with pytest.raises(ValueError):
-        integrate_field(cells, (uniq[:-1], np.ones(uniq.size - 1)), m, h)
 
 
 def test_time_grid_picks_floor_indices():
@@ -208,47 +130,27 @@ def test_integral_rejects_heavy_walk_and_bad_width():
         sample_scenery_integral(BROWNIAN, BROWNIAN, 32, 0.0, RngStream(1, 0))
 
 
-def test_grid_reconstructs_the_same_integral_sample():
-    # same stream key, same draw order: the inspectable grid and the
-    # plain sample describe one realization
-    m, h = 128, 0.125
-    grid = build_limit_grid(BROWNIAN, StableLaw(1.5, 1.0), m, h,
-                            RngStream(53, 9))
-    delta = sample_scenery_integral(BROWNIAN, StableLaw(1.5, 1.0), m, h,
-                                    RngStream(53, 9))
-    cells = np.floor(grid.y_path[1:] / h).astype(np.int64)
-    rebuilt = np.concatenate(
-        [[0.0], np.cumsum([grid.u_increments[int(c)] for c in cells])]) / (m * h)
-    assert np.allclose(rebuilt, delta, atol=1e-12)
-
-
 @pytest.mark.parametrize("m, h", [(4096, 1.0 / 64), (256, 1e-4)])
-def test_sampled_integral_equals_integrate_field_on_its_draws(m, h):
-    # the sampler reads each step's dU through its cells' local-time
-    # inverse, integrate_field looks every cell up again; narrow and wide
-    # cell spans take the bincount and the sort route to that inverse
+def test_sampled_integral_adds_each_steps_cell_draw(m, h):
+    # the sampler reads each step's dU through the local-time inverse of
+    # its cells; here each step's cell is looked up in the sorted cells
+    # again.  Narrow and wide cell spans take the bincount and the sort
+    # route to that inverse
     scenery = StableLaw(1.5, 1.0)
-    grid = build_limit_grid(BROWNIAN, scenery, m, h, RngStream(67, m))
-    cells = np.floor(grid.y_path[1:] / h).astype(np.int64)
-    uniq = np.array(sorted(grid.u_increments), dtype=np.int64)
-    field = (uniq, np.array([grid.u_increments[int(c)] for c in uniq]))
-    t = [0.0, 0.3, 1.0]
-    for t_grid in (None, t):
+    y, (uniq, cnt, _), du = _draw_components(BROWNIAN, scenery, m, h,
+                                             RngStream(67, m).generator())
+    assert y.shape == (m + 1,) and y[0] == 0.0
+    assert (np.diff(uniq) > 0).all() and (cnt > 0).all() and cnt.sum() == m
+    assert du.shape == uniq.shape
+    cells = np.floor(y[1:] / h).astype(np.int64)
+    idx = np.searchsorted(uniq, cells)
+    assert np.array_equal(uniq[idx], cells)
+    path = np.concatenate([[0.0], np.cumsum(du[idx])]) / (m * h)
+    for t_grid, want in ((None, path),
+                         ([0.0, 0.3, 1.0], path[[0, int(0.3 * m), m]])):
         delta = sample_scenery_integral(BROWNIAN, scenery, m, h,
                                         RngStream(67, m), t_grid=t_grid)
-        assert np.array_equal(delta, integrate_field(cells, field, m, h, t_grid))
-
-
-def test_grid_bookkeeping_invariants():
-    m, h = 256, 0.0625
-    grid = build_limit_grid(BROWNIAN, BROWNIAN, m, h, RngStream(59, 2))
-    assert isinstance(grid, LimitGrid)
-    assert grid.space_mesh == h
-    assert grid.y_path.shape == (m + 1,)
-    assert np.array_equal(grid.time_mesh, np.arange(m + 1) / m)
-    assert set(grid.local_time) == set(grid.u_increments)
-    assert h * sum(grid.local_time.values()) == pytest.approx(1.0, abs=1e-12)
-    assert all(v > 0.0 for v in grid.local_time.values())
+        assert np.array_equal(delta, want)
 
 
 def test_integral_mean_is_centered_for_symmetric_field():

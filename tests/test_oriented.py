@@ -14,14 +14,11 @@ from rangelab.oriented import (DOWN, ESCAPE_CAP, H, UP, Environment,
                                annealed_endpoints, annealed_environment,
                                annealed_range_stats, exact_annealed_law,
                                exact_no_return_probability,
-                               exact_return_probability,
                                first_coordinate_decomposition,
-                               first_coordinate_spread, horizontal_local_time,
-                               no_return_count, range_first_coordinate,
+                               horizontal_local_time, no_return_count,
                                range_sites, simulate_annealed,
                                simulate_quenched, skew_product_endpoints,
-                               skew_product_environment, skew_product_path,
-                               validate_path)
+                               skew_product_environment, skew_product_path)
 from rangelab.rng import RngStream, _mix64_vec
 
 
@@ -215,16 +212,20 @@ def test_mean_range_is_one_plus_the_escape_curve():
         assert mean[k] == pytest.approx(want, rel=1e-12)
 
 
+def return_probability(n):
+    return exact_annealed_law(0.5, n).get((0, 0), 0.0)
+
+
 def test_return_probability_parity_and_decay():
-    assert exact_return_probability(0.5, 3) == 0.0
-    assert exact_return_probability(0.5, 5) == 0.0
-    assert exact_return_probability(0.5, 2) == pytest.approx(0.125)
-    assert exact_return_probability(0.5, 4) < exact_return_probability(0.5, 2)
+    assert return_probability(3) == 0.0
+    assert return_probability(5) == 0.0
+    assert return_probability(2) == pytest.approx(0.125)
+    assert return_probability(4) < return_probability(2)
 
 
 def test_return_probability_log_slope_is_steeply_negative():
     ns = np.array([2, 4, 6, 8, 10, 12, 14], dtype=float)
-    ps = np.array([exact_return_probability(0.5, int(n)) for n in ns])
+    ps = np.array([return_probability(int(n)) for n in ns])
     slope = np.polyfit(np.log(ns), np.log(ps), 1)[0]
     assert slope < -0.8
 
@@ -368,24 +369,18 @@ def test_quenched_determinism():
 
 
 def test_simulated_paths_validate_against_their_environments():
-    env = annealed_environment(13)
-    path = simulate_annealed(0.5, 300, 13)
-    validate_path(path, env)
     rng = RngStream(14, 0)
-    spath = skew_product_path(0.5, 300, rng)
-    validate_path(spath, skew_product_environment(rng))
-
-
-def test_validate_rejects_mixed_directions_on_a_row():
-    bad = make_path(0.5, [0, 1, 0], [0, 0, 0], [H, H])
-    with pytest.raises(ValueError, match="both directions"):
-        validate_path(bad)
-    # rows 0 and 1 both disagree with the environment: the lower one is named
-    env = Environment(5, overrides={0: -1, 1: 1})
-    wrong = make_path(0.5, [0, 1, 1, 0], [0, 0, 1, 1], [H, UP, H])
-    with pytest.raises(ValueError, match="row 0 direction contradicts"):
-        validate_path(wrong, env)
-    validate_path(wrong, Environment(5, overrides={0: 1, 1: -1}))
+    walks = [(simulate_annealed(0.5, 300, 13), annealed_environment(13)),
+             (skew_product_path(0.5, 300, rng), skew_product_environment(rng))]
+    for path, env in walks:
+        assert path.x[0] == path.y[0] == 0 and path.step_types.size == 300
+        dx, dy = np.diff(path.x), np.diff(path.y)
+        types = path.step_types
+        assert (np.abs(dx) + np.abs(dy) == 1).all()
+        assert ((dx != 0) == (types == H)).all()
+        assert (dy[types == UP] == 1).all() and (dy[types == DOWN] == -1).all()
+        # raises unless every horizontal move follows its row's orientation
+        assert first_coordinate_decomposition(path, env) == path.x[-1]
 
 
 def test_no_return_count_matches_exact_at_horizon_two():
@@ -404,15 +399,6 @@ def test_range_on_tiny_paths():
     back = make_path(0.5, [0, 1, 0], [0, 0, 0], [H, H])
     assert range_sites(back) == 2
     assert quadratic_range(back) == 2
-
-
-def test_first_range_hand_cases():
-    vertical = make_path(0.5, [0, 0, 0], [0, 1, 2], [UP, UP])
-    assert range_first_coordinate(vertical) == 1
-    assert first_coordinate_spread(vertical) == 0
-    wander = make_path(0.5, [0, 1, 1, 0, -1], [0, 0, 1, 1, 1],
-                       [H, UP, H, H])
-    assert range_first_coordinate(wander) == 3
 
 
 def test_decomposition_hand_case():
@@ -438,7 +424,7 @@ def test_identities_on_simulated_paths(seed):
     assert range_sites(path) == len(set(path.positions()))
     assert range_sites(path) == quadratic_range(path)
     assert range_sites(path) <= 400 + 1
-    assert range_first_coordinate(path) == len(set(path.x.tolist()))
+    assert len(set(path.x.tolist())) == path.x.max() - path.x.min() + 1
     assert first_coordinate_decomposition(path, env) == path.x[-1]
     lt = horizontal_local_time(path)
     assert sum(lt.counts.values()) == int((path.step_types == H).sum())
@@ -448,7 +434,7 @@ def test_identities_on_skew_paths():
     for seed in range(10):
         rng = RngStream(seed, 3)
         path = skew_product_path(0.6, 300, rng)
-        assert range_first_coordinate(path) == len(set(path.x.tolist()))
+        assert len(set(path.x.tolist())) == path.x.max() - path.x.min() + 1
         assert range_sites(path) == quadratic_range(path)
 
 
@@ -470,7 +456,7 @@ def test_identities_hold_for_arbitrary_seeds(seed, n):
     assert len(path.x) == n + 1
     assert range_sites(path) == len(set(path.positions()))
     assert range_sites(path) <= n + 1
-    assert range_first_coordinate(path) == int(path.x.max() - path.x.min() + 1)
+    assert len(set(path.x.tolist())) == path.x.max() - path.x.min() + 1
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +468,7 @@ def test_streaming_stats_match_path_functionals():
     summary = annealed_range_stats(p, n, seed)
     path = simulate_annealed(p, n, seed)
     assert summary.sites == range_sites(path)
-    assert summary.first_range == range_first_coordinate(path)
+    assert summary.first_range == len(set(path.x.tolist()))
     assert summary.x_final == path.x[-1] and summary.y_final == path.y[-1]
     origin_hits = ((path.x[1:] == 0) & (path.y[1:] == 0)).any()
     assert summary.returned == bool(origin_hits)
