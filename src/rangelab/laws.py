@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, product
 
 import numpy as np
 
@@ -379,8 +379,8 @@ def _lattice_blocks(law: LatticeLaw, rng, n: int, chunk: int):
             law, bits.random_raw(m), None if second is None else second.random_raw(m))
 
 
-# draws the batch kernels decode and walk at a time, so that a block's
-# arrays stay in cache
+# draws the batch kernels decode and walk at a time, and trial-steps in a
+# tile of _marked_trials or simulate_rwrs, so that their arrays stay in cache
 _BATCH_STEPS = 1 << 15
 # trial-steps a trial kernel holds at a time: a block of rows (trials)
 # times a column chunk of their steps
@@ -467,29 +467,41 @@ def _marked_trials(walk: LatticeLaw, field: LatticeLaw, streams, fields, n: int,
     by _marked_walk with the field _field_keys(fields[r]) keys, chunk steps
     of every row at a time (the results do not depend on chunk).
 
+    A chunk's words are drawn and decoded at once, its steps walked in
+    tiles of at most _BATCH_STEPS trial-steps (whole rows or a piece of
+    one row), and each tally's keys fill one array that _row_counts sorts.
+
     Returns per row the walker's end, the sum's end, min and max, the
     first return (the first time k >= 1 with sum 0 and, with at_origin,
     the walker at 0; 0 when there is none) and, for each f in tallies,
     the _row_counts(..., counts) multiset of the arrays f(pos, total).
     """
+    if n < 0 or chunk < 1:
+        raise ValueError(f"step count must be nonnegative and chunk >= 1: {n}, {chunk}")
     key0, key1 = (k[:, None] for k in _field_keys(fields))
-    pos_end = end = lo = hi = first_return = np.zeros(len(streams), dtype=np.int64)
+    pos_end, end, lo, hi, first_return = np.zeros((5, len(streams)), dtype=np.int64)
     seen = [_row_counts(np.zeros((len(streams), 0), dtype=np.int64)) for _ in tallies]
     for c0 in range(0, n, chunk):
         w = min(chunk, n - c0)
         # as sample_lattice: w1 of step k is word n + k of the stream
         w1 = _word_rows(streams, w, n + c0) if walk.kind == "pareto_tail" else None
         steps = _values_from_words(walk, _word_rows(streams, w, c0), w1)
-        pos, total = _marked_walk(steps, field, key0, key1, mark_moves, pos_end, end)
-        home = (total | pos if at_origin else total) == 0
-        hit = np.where(home.any(axis=1), c0 + home.argmax(axis=1) + 1, 0)
-        first_return = np.where(first_return > 0, first_return, hit)
-        lo = np.minimum(lo, total.min(axis=1))
-        hi = np.maximum(hi, total.max(axis=1))
-        # copied, since _row_counts sorts its arrays in place
-        pos_end, end = pos[:, -1].copy(), total[:, -1].copy()
-        arrays = [f(pos, total) for f in tallies]
-        seen = [_row_counts(a, s, counts) for a, s in zip(arrays, seen)]
+        keys = [np.empty(steps.shape, dtype=np.int64) for _ in tallies]
+        per = _block_rows(w)
+        for r0, t0 in product(range(0, len(streams), per),
+                              range(0, w, _BATCH_STEPS // per)):
+            r, cols = slice(r0, r0 + per), slice(t0, t0 + _BATCH_STEPS // per)
+            pos, total = _marked_walk(steps[r, cols], field, key0[r], key1[r],
+                                      mark_moves, pos_end[r], end[r])
+            home = (total | pos if at_origin else total) == 0
+            hit = np.where(home.any(axis=1), c0 + t0 + home.argmax(axis=1) + 1, 0)
+            first_return[r] = np.where(first_return[r] > 0, first_return[r], hit)
+            np.minimum(lo[r], total.min(axis=1), out=lo[r])
+            np.maximum(hi[r], total.max(axis=1), out=hi[r])
+            pos_end[r], end[r] = pos[:, -1], total[:, -1]
+            for k, f in zip(keys, tallies):
+                k[r, cols] = f(pos, total)
+        seen = [_row_counts(k, s, counts) for k, s in zip(keys, seen)]
     return pos_end, end, lo, hi, first_return, seen
 
 

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .enumeration import marked_sum_law, no_return_probability
-from .laws import (_BLOCK_STEPS, _TWO_POINT, LatticeLaw, _local_times, _marked_trials,
-                   _no_return_count, _row_counts, _run_counts, lattice_at_sites,
-                   lattice_support, sample_lattice, stable_index)
+from .laws import (_BATCH_STEPS, _BLOCK_STEPS, _TWO_POINT, LatticeLaw, _lattice_blocks,
+                   _local_times, _marked_trials, _no_return_count, _row_counts,
+                   _run_counts, lattice_at_sites, lattice_support, stable_index)
 from .rng import _M64, RngStream, _mix64_vec, mix64
 
 ENUMERATION_CAP = 12
@@ -94,23 +94,51 @@ def simulate_rwrs(model: RwrsModel, n: int, master_seed: int) -> ZPath:
     independently; the scenery value of a site is a pure function of
     (scenery seed, site), hence consistent across revisits and across
     simulations sharing the seed.
+
+    The path is built in tiles of _BATCH_STEPS steps whose arrays stay in
+    cache: the walk, its local times by an offset count over its span
+    [min, max], and the scenery sum from a table over that span holding
+    each visited site's value, hashed once.  A walk whose span is over
+    twice its length (a heavy tail) numbers its sites by a sort instead.
     """
     if n < 0:
         raise ValueError("step count must be nonnegative")
-    walk = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(sample_lattice(model.walk_law,
-                             RngStream(mix64(master_seed, _WALK_TAG), 0), n),
-              out=walk[1:])
-    uniq, cnt, inv = _local_times(walk[1:])
+    tiles = range(1, n + 1, _BATCH_STEPS)
+    walk, values = np.zeros((2, n + 1), dtype=np.int64)
+    for t, steps in zip(tiles, _lattice_blocks(
+            model.walk_law, RngStream(mix64(master_seed, _WALK_TAG), 0), n,
+            _BATCH_STEPS)):
+        _carried_cumsum(walk, t, steps)
+    lo, hi = (int(walk[1:].min()), int(walk[1:].max())) if n else (0, -1)
+    wide = hi - lo > 2 * n
+    if wide:
+        uniq, cnt, inv = _local_times(walk[1:])
+    else:
+        cnt = np.zeros(hi - lo + 1, dtype=np.int64)
+        for t in tiles:
+            np.add.at(cnt, walk[t:t + _BATCH_STEPS] - lo, 1)
+        uniq = np.flatnonzero(cnt) + lo
+        cnt = cnt[uniq - lo]
     site_vals = lattice_at_sites(model.scenery_law, mix64(master_seed, _SCENERY_TAG),
                                  uniq)
-    values = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(site_vals[inv], dtype=np.int64, out=values[1:])
+    table = site_vals if wide else np.zeros(hi - lo + 1, dtype=np.int64)
+    if not wide:
+        table[uniq - lo] = site_vals
+    for t in tiles:
+        index = (inv[t - 1:t - 1 + _BATCH_STEPS] if wide
+                 else walk[t:t + _BATCH_STEPS] - lo)
+        _carried_cumsum(values, t, table.take(index))
+    uniq = uniq.tolist()
     return ZPath(model=model, walk=walk, values=values,
-                 scenery={int(y): int(v) for y, v in zip(uniq, site_vals)},
-                 local_time=LocalTimeMap(
-                     counts={int(y): int(c) for y, c in zip(uniq, cnt)},
-                     steps=n))
+                 scenery=dict(zip(uniq, site_vals.tolist())),
+                 local_time=LocalTimeMap(dict(zip(uniq, cnt.tolist())), n))
+
+
+def _carried_cumsum(a: np.ndarray, t: int, part: np.ndarray) -> None:
+    # a[t:t + len(part)] = a[t - 1] + cumsum(part), summed in place
+    seg = a[t - 1:t + part.size]
+    seg[1:] = part
+    np.cumsum(seg, out=seg)
 
 
 def self_intersections(lt: LocalTimeMap) -> int:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from rangelab import laws
 from rangelab.oriented import (DOWN, ESCAPE_CAP, H, UP, Environment,
                                LatticePath, _trial_block,
                                annealed_endpoints, annealed_environment,
@@ -502,6 +503,29 @@ def test_trial_block_chunks_do_not_change_results():
         got = _trial_block(0.5, n, seeds, True, chunk)
         for a, b in zip(got, want):
             assert (a == b).all()
+
+
+@pytest.mark.parametrize("batch", [1, 7, 1000])
+def test_trial_block_tiles_do_not_change_results(monkeypatch, batch):
+    # the kernel walks tiles of batch trial-steps: one step, seven steps of
+    # one row, or two whole rows; some walks first return on the first or
+    # last step of a seven-step tile (at steps 8, 14 and 22)
+    seeds = _mix64_vec(9, np.arange(39, dtype=np.uint64))
+    n = 500
+    want = _trial_block(0.5, n, seeds, True, 1 << 20)
+    assert {8, 14, 22} <= set(want[-1].tolist())
+    monkeypatch.setattr(laws, "_BATCH_STEPS", batch)
+    for chunk in (1 << 20, n - 1):
+        got = _trial_block(0.5, n, seeds, True, chunk)
+        for a, b in zip(got, want):
+            assert (a == b).all()
+
+
+def test_range_stats_reject_bad_steps_and_chunks():
+    # not a walk of no steps labelled with n steps
+    for n, chunk in ((-3, 1 << 20), (1000, 0), (1000, -5)):
+        with pytest.raises(ValueError):
+            annealed_range_stats(0.5, n, 7, chunk=chunk)
 
 
 def test_streaming_chunking_does_not_change_results():

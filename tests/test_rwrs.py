@@ -10,10 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from rangelab.laws import (lattice_support, lazy_vertical, pareto_tail,
-                           rademacher, simple_symmetric, ternary)
-from rangelab.rng import _mix64_vec
-from rangelab.rwrs import (LocalTimeMap, RwrsModel, _trial_block, exact_no_return_z,
+from rangelab import laws
+from rangelab.laws import (lattice_at_sites, lattice_support, lazy_vertical,
+                           pareto_tail, rademacher, sample_lattice, simple_symmetric,
+                           ternary)
+from rangelab.rng import RngStream, _mix64_vec, mix64
+from rangelab.rwrs import (_SCENERY_TAG, _WALK_TAG, LocalTimeMap, RwrsModel,
+                           _trial_block, exact_no_return_z,
                            exact_rwrs_law, no_return_z_count, range_z,
                            rwrs_range_stats, scaling_exponent,
                            self_intersections, simulate_rwrs, z_spread)
@@ -349,6 +352,59 @@ def test_trial_block_chunks_do_not_change_results():
             got = _trial_block(model, n, seeds, chunk)
             for a, b in zip(got, want):
                 assert (a == b).all()
+
+
+@pytest.mark.parametrize("batch", [1, 7, 1000])
+def test_trial_block_tiles_do_not_change_results(monkeypatch, batch):
+    # the kernel walks tiles of batch trial-steps: one step, seven steps of
+    # one row, or a few whole rows of the shorter walks and 1000-step
+    # pieces of the longest; each model has a walk whose first return falls
+    # on the first or last step of a seven-step tile
+    seeds = _mix64_vec(4, np.arange(16, dtype=np.uint64))
+    heavy = RwrsModel(pareto_tail(1.5), rademacher())
+    lazy_heavy = RwrsModel(lazy_vertical(0.3), pareto_tail(0.8))
+    for model, n in ((SIMPLE_TERN, 300), (heavy, 2003), (lazy_heavy, 500)):
+        monkeypatch.setattr(laws, "_BATCH_STEPS", 1 << 15)
+        want = _trial_block(model, n, seeds, 1 << 20)
+        first = want[-1]
+        assert ((first > 7) & (first % 7 <= 1)).any()
+        monkeypatch.setattr(laws, "_BATCH_STEPS", batch)
+        for chunk in (1 << 20, n - 1):
+            got = _trial_block(model, n, seeds, chunk)
+            for a, b in zip(got, want):
+                assert (a == b).all()
+
+
+def test_paths_across_tiles_match_a_brute_force_walk():
+    # 2 * 2^15 + 3 steps: three tiles, the last of three steps.  The pareto
+    # walks read each step's second word from a second generator past the
+    # first n words; the index-1.5 one is counted by the offset table, the
+    # index-0.6 one spreads over more than 2n sites and by the sort
+    n, seed = 2 * (1 << 15) + 3, 5
+    wide = []
+    for model in (SIMPLE_RAD, RwrsModel(pareto_tail(1.5), ternary(0.3)),
+                  RwrsModel(pareto_tail(0.6), rademacher())):
+        steps = sample_lattice(model.walk_law, RngStream(mix64(seed, _WALK_TAG), 0), n)
+        walk = np.concatenate([[0], np.cumsum(steps)])
+        marks = lattice_at_sites(model.scenery_law, mix64(seed, _SCENERY_TAG), walk[1:])
+        zp = simulate_rwrs(model, n, seed)
+        assert (zp.walk == walk).all()
+        assert (zp.values == np.concatenate([[0], np.cumsum(marks)])).all()
+        visits = Counter(walk[1:].tolist())
+        assert zp.local_time.counts == visits
+        assert list(zp.local_time.counts) == list(zp.scenery) == sorted(visits)
+        assert zp.scenery == dict(zip(walk[1:].tolist(), marks.tolist()))
+        items = [*zp.scenery.items(), *zp.local_time.counts.items()]
+        assert {type(x) for pair in items for x in pair} == {int}
+        wide.append(int(np.ptp(walk[1:])) > 2 * n)
+    assert wide == [False, False, True]
+
+
+def test_range_stats_reject_bad_steps_and_chunks():
+    # not a walk of no steps labelled with n steps
+    for n, chunk in ((-3, 1 << 20), (1000, 0), (1000, -5)):
+        with pytest.raises(ValueError):
+            rwrs_range_stats(SIMPLE_RAD, n, 7, chunk=chunk)
 
 
 def test_streaming_stats_match_simulation():
