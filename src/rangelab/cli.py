@@ -56,17 +56,27 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError(f"unsupported format {cfg['format']!r}")
     if not isinstance(cfg["params"], dict):
         raise ConfigError("params must be an object")
+    if not isinstance(cfg["sizes"], list):
+        raise ConfigError(f"sizes must be a list, got {cfg['sizes']!r}")
     try:
-        cfg["sizes"] = [int(n) for n in cfg["sizes"]]
-        cfg["trials"] = int(cfg["trials"])
+        cfg["sizes"] = [_integer(n) for n in cfg["sizes"]]
+        cfg["trials"] = _integer(cfg["trials"])
         cfg["outputs"] = [str(s) for s in cfg["outputs"]]
-        cfg["seed"] = int(cfg["seed"])
-        cfg["threads"] = int(cfg["threads"])
+        cfg["seed"] = _integer(cfg["seed"])
+        cfg["threads"] = _integer(cfg["threads"])
         if cfg["horizon"] is not None:
-            cfg["horizon"] = int(cfg["horizon"])
+            cfg["horizon"] = _integer(cfg["horizon"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc
     return cfg
+
+
+def _integer(value) -> int:
+    # an int, a whole float or a decimal string; int() alone would read
+    # True as 1 and truncate 64.9 to 64
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def spec_from_config(cfg: dict) -> ExperimentSpec:

@@ -1,4 +1,4 @@
-"""Monte Carlo experiment harness: validated specs, mergeable statistics,
+"""Monte Carlo experiment harness: validated specs, exact statistics,
 deterministic parallel trials, batch escape estimates and scaling fits.
 
 Determinism contract: trial i of size n draws from the stream
@@ -9,9 +9,9 @@ trial-steps at a time (a longer walk is a row of its own, streamed in
 column chunks): each row draws from its own trial's stream and reads its
 own hashed field, and only the work after the draws is batched.  Blocks
 may be executed by any number of workers in any order; per-trial outputs
-land in trial-indexed slots, and TrialStats sums integral values as
-Python ints and the others as Fractions, so the merge is associative and
-commutative not just in theory but bit for bit.
+land in trial-indexed slots, and TrialStats sums each size's slots
+exactly (integral values as Python ints, the others as Fractions), so
+results do not depend on the thread count, bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -46,7 +45,10 @@ class ResourceCapError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# mergeable statistics
+# exact statistics
+
+# the standard normal quantile at 0.995, scipy.special.ndtri(0.995) bit for bit
+_Z99 = 2.5758293035489004
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,8 @@ class TrialStats:
 
     Integral values are summed as Python ints, the others as Fractions
     (each float is a dyadic rational, summed exactly over a common power
-    of two), so merging is exactly associative and commutative; mean and
-    CI are materialized as floats only on read.
+    of two), so the sums do not depend on the order of the values; mean
+    and CI are materialized as floats only on read.
     """
 
     count: int = 0
@@ -87,22 +89,11 @@ class TrialStats:
         # 0/1 outcomes: the sum and the sum of squares coincide
         return cls(count=count, total=successes, total_sq=successes)
 
-    def merge(self, other: "TrialStats") -> "TrialStats":
-        return TrialStats(count=self.count + other.count,
-                          total=self.total + other.total,
-                          total_sq=self.total_sq + other.total_sq)
-
     @property
     def mean(self) -> float:
         if self.count == 0:
             raise ValueError("no trials recorded")
         return float(self.total / self.count)
-
-    @property
-    def second_moment(self) -> float:
-        if self.count == 0:
-            raise ValueError("no trials recorded")
-        return float(self.total_sq / self.count)
 
     @property
     def sample_variance(self) -> float:
@@ -111,73 +102,11 @@ class TrialStats:
         num = self.total_sq - Fraction(self.total) * self.total / self.count
         return max(0.0, float(num / (self.count - 1)))
 
-    def ci_half(self, confidence: float = 0.99) -> float | None:
-        """Normal-approximation half-width; None when one trial cannot say.
-
-        Raises ValueError unless 0 < confidence < 1.
-        """
-        if not 0.0 < confidence < 1.0:
-            raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    def ci_half(self) -> float | None:
+        """99 % normal-approximation half-width; None when one trial cannot say."""
         if self.count < 2:
             return None
-        return _normal_quantile(confidence) * (self.sample_variance / self.count) ** 0.5
-
-
-@lru_cache(maxsize=16)
-def _normal_quantile(confidence: float) -> float:
-    # 0.5 + c/2 rounds to 1 only at c = 1 - 2^-53, where 1 - c is exact
-    y = 0.5 + confidence / 2.0
-    return _ndtri(y) if y < 1.0 else -_ndtri((1.0 - confidence) / 2.0)
-
-
-# ndtri from S. L. Moshier's Cephes Mathematical Library (1989), as scipy
-# ships it under its BSD licence: the same operations in the same order, so
-# every quantile is bit-equal to scipy.special.ndtri and norm.ppf.  Each Q
-# writes out Cephes' implicit leading 1 (1 * x + c is x + c exactly).
-_S2PI = 2.50662827463100050242E0  # sqrt(2 pi)
-_EXPM2 = 0.13533528323661269189  # e^-2
-_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
-       1.39312609387279679503E1, -1.23916583867381258016E0)
-_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0,
-       8.63602421390890590575E1, -2.25462687854119370527E2, 2.00260212380060660359E2,
-       -8.20372256168333339912E1, 1.59056225126211695515E1, -1.18331621121330003142E0)
-_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
-       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
-       -1.40256079171354495875E-1, -3.50424626827848203418E-2,
-       -8.57456785154685413611E-4)
-_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1,
-       4.13172038254672030440E1, 1.50425385692907503408E1, 2.50464946208309415979E0,
-       -1.42182922854787788574E-1, -3.80806407691578277194E-2,
-       -9.33259480895457427372E-4)
-_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
-       1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
-       3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
-_Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0,
-       1.37702099489081330271E0, 2.16236993594496635890E-1, 1.34204006088543189037E-2,
-       3.28014464682127739104E-4, 2.89247864745380683936E-6, 6.79019408009981274425E-9)
-
-
-def _polevl(x: float, coefs) -> float:
-    # Horner's rule from coefs[0]
-    return reduce(lambda a, c: a * x + c, coefs)
-
-
-def _ndtri(y: float) -> float:
-    """The standard normal quantile of y in [0, 1]."""
-    if y in (0.0, 1.0):
-        return math.copysign(math.inf, y - 0.5)
-    upper = y > 1.0 - _EXPM2
-    if upper:
-        y = 1.0 - y
-    if y > _EXPM2:
-        y -= 0.5
-        y2 = y * y
-        return (y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))) * _S2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    z = 1.0 / x
-    p, q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
-    x = x - math.log(x) / x - z * _polevl(z, p) / _polevl(z, q)
-    return x if upper else -x
+        return _Z99 * (self.sample_variance / self.count) ** 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +351,10 @@ class ScalingFit:
     residual_norm: float
     slope_stderr: float
 
-    def slope_ci(self, z: float = 2.576) -> tuple[float, float]:
-        return (self.slope - z * self.slope_stderr,
-                self.slope + z * self.slope_stderr)
+    def slope_ci(self) -> tuple[float, float]:
+        """The slope plus and minus 2.576 standard errors."""
+        return (self.slope - 2.576 * self.slope_stderr,
+                self.slope + 2.576 * self.slope_stderr)
 
 
 def scaling_fit(sizes, values) -> ScalingFit:

@@ -97,8 +97,7 @@ def _draw_components(walk_law: StableLaw, scenery_law: StableLaw,
 
 
 def sample_scenery_integral(walk_law: StableLaw, scenery_law: StableLaw,
-                            m: int, h: float, rng,
-                            t_grid=None) -> np.ndarray:
+                            m: int, h: float, rng) -> np.ndarray:
     """One sample path of the local-time integral Delta on the mesh: each
     step j adds its cell's dU draw, scaled by 1/(mh).
 
@@ -107,11 +106,4 @@ def sample_scenery_integral(walk_law: StableLaw, scenery_law: StableLaw,
     """
     _, (_, _, inv), du = _draw_components(walk_law, scenery_law, m, h,
                                           as_generator(rng))
-    path = np.concatenate([[0.0], np.cumsum(du[inv])]) / (m * h)
-    if t_grid is None:
-        return path
-    t = np.asarray(t_grid, dtype=float)
-    if ((t < 0.0) | (t > 1.0)).any():
-        raise ValueError("times must lie in [0, 1]")
-    return path[np.floor(t * m).astype(np.int64)]
-
+    return np.concatenate([[0.0], np.cumsum(du[inv])]) / (m * h)

@@ -112,9 +112,6 @@ class LatticePath:
     def steps(self) -> int:
         return len(self.step_types)
 
-    def positions(self) -> list[tuple[int, int]]:
-        return list(zip(self.x.tolist(), self.y.tolist()))
-
 
 @dataclass
 class HorizontalLocalTime:

@@ -148,6 +148,14 @@ def test_malformed_configs_are_rejected():
         resolve_config({**BASE, "params": "p=0.5"})
     with pytest.raises(ConfigError):
         resolve_config({**BASE, "trials": "many"})
+    # int() would split a string of digits, truncate a fraction and read
+    # True as 1
+    for bad in ({"sizes": "123"}, {"sizes": [64.9]}, {"trials": 2.5},
+                {"horizon": 3.9}, {"seed": 1.7}, {"threads": 1.5},
+                {"trials": True}, {"sizes": [True, 2]}, {"seed": False},
+                {"trials": float("inf")}, {"sizes": {"8": 1}}):
+        with pytest.raises(ConfigError):
+            resolve_config({**BASE, **bad})
 
 
 # ---------------------------------------------------------------------------
@@ -458,3 +466,70 @@ def test_every_public_name_has_a_reader():
                 todo.append(name)
     unread = sorted(n for n in deps if not n.startswith("_"))
     assert not unread and not unread_imports, f"names {unread}, imports {unread_imports}"
+
+
+def _units(tree):
+    # (owner, node) for each top-level statement, and for each statement of
+    # a class body apart, owned by Class.name
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                yield f"{node.name}.{getattr(sub, 'name', '')}", sub
+        else:
+            yield getattr(node, "name", None), node
+
+
+def _calls(node):
+    # the node's calls as (callee name, positional count, keywords, splat),
+    # and the names it loads other than as a callee
+    calls, callees = [], set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Call):
+            callees.add(id(n.func))
+            splat = (any(isinstance(a, ast.Starred) for a in n.args)
+                     or any(k.arg is None for k in n.keywords))
+            calls.append((getattr(n.func, "id", getattr(n.func, "attr", None)),
+                          len(n.args), {k.arg for k in n.keywords}, splat))
+    loaded = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)
+              if id(n) not in callees and (isinstance(n, ast.Attribute) or (
+                  isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)))}
+    return calls, loaded
+
+
+def test_every_member_and_option_has_a_reader():
+    # a method, a property or an optional parameter that only unit tests use
+    # fails here.  The readers are those of the public names, each package
+    # definition outside its own body.  A member is read when its name is;
+    # an option is passed by a call whose callee has the function's name,
+    # by keyword, by position or through a splat.  A function named other
+    # than as a callee (a table of law makers) counts as passing them all
+    repo = Path(__file__).resolve().parents[1]
+    readers = [*sorted((repo / "perfbench").glob("*.py")),
+               repo / "tests" / "test_acceptance.py", repo / "tests" / "test_streams.py"]
+    units = [(None, ast.parse(p.read_text())) for p in readers]
+    units += [u for path in PACKAGE for u in _units(ast.parse(path.read_text()))]
+    uses = [(owner, _reads(node), *_calls(node)) for owner, node in units]
+    unread = []
+    for owner, fn in units:
+        if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+            continue
+        others = [u for u in uses if u[0] != owner]
+        method = "." in owner
+        if method and not any(fn.name in reads for _, reads, _, _ in others):
+            unread.append(owner)
+            continue
+        if any(fn.name in loaded for *_, loaded in others):
+            continue
+        calls = [c for _, _, cs, _ in others for c in cs if c[0] == fn.name]
+        a = fn.args
+        positional = [*a.posonlyargs, *a.args]
+        static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+        first = len(positional) - len(a.defaults)
+        options = [(i - (method and not static), arg.arg)
+                   for i, arg in enumerate(positional) if i >= first]
+        options += [(math.inf, arg.arg) for arg, default in zip(a.kwonlyargs, a.kw_defaults)
+                    if default is not None]
+        unread += [f"{owner}({name})" for i, name in options
+                   if not any(splat or name in keywords or count > i
+                              for _, count, keywords, splat in calls)]
+    assert not unread, sorted(unread)

@@ -22,21 +22,15 @@ from rangelab.rng import mix64
 from rangelab.rwrs import (RwrsModel, range_z, self_intersections,
                            simulate_rwrs, z_spread)
 
-values_lists = st.lists(
-    st.floats(allow_nan=False, allow_infinity=False,
-              min_value=-1e6, max_value=1e6),
-    max_size=12)
-
-
 # ---------------------------------------------------------------------------
-# mergeable statistics
+# exact statistics
 
 
 def test_stats_hand_values():
     s = TrialStats.from_values([1.0, 2.0, 3.0])
     assert s.count == 3
     assert s.mean == 2.0
-    assert s.second_moment == pytest.approx(14.0 / 3.0)
+    assert s.total_sq == 14
     assert s.sample_variance == 1.0
 
 
@@ -61,86 +55,19 @@ def test_empty_stats_refuse_to_summarize():
 
 def test_interval_uses_the_normal_quantile():
     s = TrialStats.from_values([0.0, 1.0, 0.0, 1.0])
-    want = 2.5758293035489004 * math.sqrt(s.sample_variance / 4)
-    assert s.ci_half(0.99) == pytest.approx(want)
+    assert s.ci_half() == harness._Z99 * math.sqrt(s.sample_variance / s.count)
     assert TrialStats.from_values([5.0, 5.0, 5.0]).ci_half() == 0.0
 
 
 def test_normal_quantile_is_scipys_bit_for_bit():
-    from scipy.stats import norm
-    grid = [k / 2002 for k in range(1, 2002)] + [0.9, 0.95, 0.99, 0.999]
-    for c in grid:
-        assert harness._normal_quantile(c) == float(norm.ppf(0.5 + c / 2.0)), c
-
-
-def test_ndtri_port_is_scipys_bit_for_bit_on_every_branch():
+    # the upper quantile: -ndtri(0.005) is one unit in the last place off
     from scipy.special import ndtri
+    from scipy.stats import norm
 
-    def bits(xs):
-        return np.asarray(xs, dtype=float).view(np.uint64)
+    def bits(x):
+        return np.float64(x).view(np.uint64)
 
-    def check(ys):
-        assert (bits([harness._ndtri(y) for y in ys]) == bits(ndtri(ys))).all()
-
-    rng = np.random.default_rng(1015)
-    e2 = math.exp(-2.0)
-    assert e2 == harness._EXPM2
-    # the central branch, the tail with x = sqrt(-2 log y) < 8 (y > e^-32)
-    # and the tail with x >= 8, each on both sides of 1/2
-    central = rng.uniform(e2, 1.0 - e2, 30_000)
-    near = np.exp(-rng.uniform(2.0, 32.0, 40_000))
-    far = np.exp(-rng.uniform(32.0, 745.0, 30_000))
-    upper_far = 1.0 - np.exp(-rng.uniform(32.0, 36.0, 10_000))
-    for ys in (central, near, 1.0 - near, far, upper_far):
-        check(ys.tolist())
-    assert ((central > e2) & (central < 1.0 - e2)).all()
-    assert (far < math.exp(-32.0)).all() and (1.0 - upper_far < math.exp(-32.0)).all()
-    ulps = [math.nextafter(v, to) for v in (e2, 1.0 - e2) for to in (0.0, 1.0)]
-    check([e2, 1.0 - e2, *ulps, 0.0, 1.0, 0.5])
-    check([2.0 ** -k for k in range(1, 1075)])  # down to the least subnormal
-    check([1.0 - 2.0 ** -k for k in range(1, 54)])
-    for k in range(1, 53):
-        c = 1.0 - 2.0 ** -k
-        assert bits(harness._normal_quantile(c)) == bits(ndtri(0.5 + c / 2.0)), k
-    # at k = 53, 0.5 + c/2 rounds to 1, so the quantile comes from the lower tail
-    top = harness._normal_quantile(1.0 - 2.0 ** -53)
-    assert math.isfinite(top) and top > harness._normal_quantile(1.0 - 2.0 ** -52)
-    assert top == -float(ndtri(2.0 ** -54))
-
-
-def test_interval_is_finite_at_the_largest_confidence():
-    c = 1.0 - 2.0 ** -53
-    assert TrialStats.from_values([5.0, 5.0]).ci_half(c) == 0.0
-    assert TrialStats.from_values([4.0, 5.0]).ci_half(c) == pytest.approx(4.146, abs=1e-3)
-
-
-@pytest.mark.parametrize("confidence", [0.0, 1.0, -0.5, 1.5, math.nan, math.inf])
-def test_interval_rejects_confidence_outside_the_unit_interval(confidence):
-    for stats in (TrialStats.from_values([0.0, 1.0, 2.0]),
-                  TrialStats.from_values([0.4])):
-        with pytest.raises(ValueError, match="confidence"):
-            stats.ci_half(confidence)
-
-
-@given(values_lists, values_lists)
-@settings(max_examples=60, deadline=None)
-def test_merge_equals_concatenation_exactly(a, b):
-    merged = TrialStats.from_values(a).merge(TrialStats.from_values(b))
-    assert merged == TrialStats.from_values(a + b)
-
-
-@given(values_lists, values_lists)
-@settings(max_examples=60, deadline=None)
-def test_merge_commutes_exactly(a, b):
-    sa, sb = TrialStats.from_values(a), TrialStats.from_values(b)
-    assert sa.merge(sb) == sb.merge(sa)
-
-
-@given(values_lists, values_lists, values_lists)
-@settings(max_examples=60, deadline=None)
-def test_merge_is_associative_exactly(a, b, c):
-    sa, sb, sc = (TrialStats.from_values(v) for v in (a, b, c))
-    assert sa.merge(sb).merge(sc) == sa.merge(sb.merge(sc))
+    assert bits(harness._Z99) == bits(ndtri(0.995)) == bits(norm.ppf(0.995))
 
 
 def fraction_stats(values) -> TrialStats:
@@ -197,7 +124,6 @@ def test_int_and_fraction_sums_equal_the_fraction_accumulator(values):
         assert got == want
         if values:
             assert got.mean == want.mean
-            assert got.second_moment == want.second_moment
             assert got.ci_half() == want.ci_half()
     if all(float(v).is_integer() for v in values):
         assert isinstance(TrialStats.from_values(values).total, int)
@@ -557,7 +483,7 @@ def test_interval_coverage_on_fair_coin_flips():
     covered = 0
     for _ in range(1000):
         s = TrialStats.from_indicator(400, int(gen.binomial(400, 0.5)))
-        half = s.ci_half(0.99)
+        half = s.ci_half()
         if half is not None and abs(s.mean - 0.5) <= half:
             covered += 1
     assert 0.97 <= covered / 1000 <= 1.0

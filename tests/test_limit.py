@@ -15,10 +15,16 @@ from rangelab.rng import RngStream
 BROWNIAN = StableLaw(2.0, 0.5)  # variance 2*a1 = 1, i.e. standard
 
 
-def sample_deltas(walk, scenery, m, h, n_paths, seed, t_grid=None):
+def sample_deltas(walk, scenery, m, h, n_paths, seed):
     return np.array([
-        sample_scenery_integral(walk, scenery, m, h, RngStream(seed, i),
-                                t_grid=t_grid)
+        sample_scenery_integral(walk, scenery, m, h, RngStream(seed, i))
+        for i in range(n_paths)])
+
+
+def final_deltas(walk, scenery, m, h, n_paths, seed):
+    """Delta(1) of each path of sample_deltas, without keeping the paths."""
+    return np.array([
+        sample_scenery_integral(walk, scenery, m, h, RngStream(seed, i))[-1]
         for i in range(n_paths)])
 
 
@@ -111,17 +117,6 @@ def test_self_similarity_of_the_halfway_marginal():
 # the local-time integral against the field
 
 
-def test_time_grid_picks_floor_indices():
-    m, h = 200, 0.125
-    full = sample_scenery_integral(BROWNIAN, BROWNIAN, m, h, RngStream(47, 0))
-    at = sample_scenery_integral(BROWNIAN, BROWNIAN, m, h, RngStream(47, 0),
-                                 t_grid=[0.0, 0.25, 0.503, 1.0])
-    assert np.array_equal(at, full[[0, 50, 100, 200]])
-    with pytest.raises(ValueError):
-        sample_scenery_integral(BROWNIAN, BROWNIAN, m, h, RngStream(47, 0),
-                                t_grid=[0.0, 1.2])
-
-
 def test_integral_rejects_heavy_walk_and_bad_width():
     with pytest.raises(ValueError):
         sample_scenery_integral(StableLaw(1.0, 1.0), BROWNIAN, 32, 0.25,
@@ -146,26 +141,21 @@ def test_sampled_integral_adds_each_steps_cell_draw(m, h):
     idx = np.searchsorted(uniq, cells)
     assert np.array_equal(uniq[idx], cells)
     path = np.concatenate([[0.0], np.cumsum(du[idx])]) / (m * h)
-    for t_grid, want in ((None, path),
-                         ([0.0, 0.3, 1.0], path[[0, int(0.3 * m), m]])):
-        delta = sample_scenery_integral(BROWNIAN, scenery, m, h,
-                                        RngStream(67, m), t_grid=t_grid)
-        assert np.array_equal(delta, want)
+    delta = sample_scenery_integral(BROWNIAN, scenery, m, h, RngStream(67, m))
+    assert np.array_equal(delta, path)
 
 
 def test_integral_mean_is_centered_for_symmetric_field():
     n, m, h = 2500, 1024, 0.125
-    d1 = sample_deltas(BROWNIAN, BROWNIAN, m, h, n, 61, t_grid=[1.0])[:, 0]
+    d1 = final_deltas(BROWNIAN, BROWNIAN, m, h, n, 61)
     se = d1.std(ddof=1) / math.sqrt(n)
     assert abs(d1.mean()) < 4.0 * se
 
 
 def test_integral_variance_is_stable_under_mesh_refinement():
     n = 2500
-    a = sample_deltas(BROWNIAN, BROWNIAN, 1024, 0.125, n, 67,
-                      t_grid=[1.0])[:, 0]
-    b = sample_deltas(BROWNIAN, BROWNIAN, 4096, 0.0625, n, 71,
-                      t_grid=[1.0])[:, 0]
+    a = final_deltas(BROWNIAN, BROWNIAN, 1024, 0.125, n, 67)
+    b = final_deltas(BROWNIAN, BROWNIAN, 4096, 0.0625, n, 71)
     va, vb = a.var(ddof=1), b.var(ddof=1)
     assert abs(va - vb) / vb < 0.10
 

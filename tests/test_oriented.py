@@ -28,9 +28,14 @@ def make_path(p, xs, ys, types):
                        step_types=np.array(types, dtype=np.uint8))
 
 
+def positions(path):
+    """The sites (x_k, y_k), k = 0..n, of a path."""
+    return list(zip(path.x.tolist(), path.y.tolist()))
+
+
 def quadratic_range(path):
     """Distinct-site count as 1 + #{k < n : site k never revisited later}."""
-    pts = path.positions()
+    pts = positions(path)
     n = len(pts) - 1
     fresh = sum(1 for k in range(n) if pts[k] not in pts[k + 1:])
     return 1 + fresh
@@ -250,7 +255,7 @@ def test_caps_and_validation():
 
 def test_zero_steps_path():
     path = simulate_annealed(0.5, 0, 7)
-    assert path.positions() == [(0, 0)]
+    assert positions(path) == [(0, 0)]
     assert range_sites(path) == 1
 
 
@@ -422,7 +427,7 @@ def test_identities_on_simulated_paths(seed):
     p = 0.3 + 0.05 * (seed % 9)
     path = simulate_annealed(p, 400, seed)
     env = annealed_environment(seed)
-    assert range_sites(path) == len(set(path.positions()))
+    assert range_sites(path) == len(set(positions(path)))
     assert range_sites(path) == quadratic_range(path)
     assert range_sites(path) <= 400 + 1
     assert len(set(path.x.tolist())) == path.x.max() - path.x.min() + 1
@@ -455,7 +460,7 @@ def test_range_is_nondecreasing_along_a_path():
 def test_identities_hold_for_arbitrary_seeds(seed, n):
     path = simulate_annealed(0.45, n, seed)
     assert len(path.x) == n + 1
-    assert range_sites(path) == len(set(path.positions()))
+    assert range_sites(path) == len(set(positions(path)))
     assert range_sites(path) <= n + 1
     assert len(set(path.x.tolist())) == path.x.max() - path.x.min() + 1
 
