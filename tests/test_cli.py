@@ -521,12 +521,10 @@ def test_every_member_and_option_has_a_reader():
         if any(fn.name in loaded for *_, loaded in others):
             continue
         calls = [c for _, _, cs, _ in others for c in cs if c[0] == fn.name]
+        # (index among the arguments a call passes, name); self is not passed
         a = fn.args
-        positional = [*a.posonlyargs, *a.args]
-        static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
-        first = len(positional) - len(a.defaults)
-        options = [(i - (method and not static), arg.arg)
-                   for i, arg in enumerate(positional) if i >= first]
+        first = len(a.args) - len(a.defaults)
+        options = [(i - method, arg.arg) for i, arg in enumerate(a.args) if i >= first]
         options += [(math.inf, arg.arg) for arg, default in zip(a.kwonlyargs, a.kw_defaults)
                     if default is not None]
         unread += [f"{owner}({name})" for i, name in options
