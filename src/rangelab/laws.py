@@ -469,12 +469,15 @@ def _marked_trials(walk: LatticeLaw, field: LatticeLaw, streams, fields, n: int,
 
     A chunk's words are drawn and decoded at once, its steps walked in
     tiles of at most _BATCH_STEPS trial-steps (whole rows or a piece of
-    one row), and each tally's keys fill one array that _row_counts sorts.
+    one row), and each tally's keys fill one array per chunk, which
+    _row_counts adds to the counts carried from the chunks before: by
+    offsets over the rows' spans when they are narrow, by a sort of each
+    row otherwise.
 
     Returns per row the walker's end, the sum's end, min and max, the
     first return (the first time k >= 1 with sum 0 and, with at_origin,
     the walker at 0; 0 when there is none) and, for each f in tallies,
-    the _row_counts(..., counts) multiset of the arrays f(pos, total).
+    the _row_counts(..., counts) result of the arrays f(pos, total).
     """
     if n < 0 or chunk < 1:
         raise ValueError(f"step count must be nonnegative and chunk >= 1: {n}, {chunk}")
@@ -501,7 +504,8 @@ def _marked_trials(walk: LatticeLaw, field: LatticeLaw, streams, fields, n: int,
             pos_end[r], end[r] = pos[:, -1], total[:, -1]
             for k, f in zip(keys, tallies):
                 k[r, cols] = f(pos, total)
-        seen = [_row_counts(k, s, counts) for k, s in zip(keys, seen)]
+        # a carry to the next chunk needs the values
+        seen = [_row_counts(k, s, counts or c0 + w < n) for k, s in zip(keys, seen)]
     return pos_end, end, lo, hi, first_return, seen
 
 
@@ -619,104 +623,92 @@ def _time_major(blocks, field, key0, key1, mark_moves, at_origin, even) -> int:
 
 # -- distinct values and local times -----------------------------------------
 #
-# Every range and local-time count in the package goes through these
-# helpers rather than numpy's unique, which under numpy 2.4 takes about
-# 0.5 s on 10^6 encoded sites where a plain sort takes 15 ms.  Their
-# outputs (sorted values, counts, inverse) equal unique's exactly.
+# Every range and local-time count in the package goes through _row_counts
+# rather than numpy's unique, which under numpy 2.4 takes about 0.5 s on 10^6
+# encoded sites where a plain sort takes 15 ms.  It counts each row of a
+# block by one of two routes, chosen by one rule.  The offset route lays the
+# rows side by side, value v of row r at index r * W + v - min_r with W the
+# widest row's span, and counts them with one bincount; it touches every
+# index below rows * W, so it is taken when that is at most twice the
+# entries counted: walk positions, Z levels, rows and cells.  Anything wider,
+# encoded (x, y) sites or a heavy-tailed walk, takes a sort of each row.
+# Both give unique's values, counts and inverse exactly.
+
+_MIN, _MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
-def _offset_counts(a: np.ndarray):
-    # An offset bincount touches every value in [min, max], so it pays only
-    # when that span is not much wider than the array: walk positions, rows
-    # and Z levels, never encoded (x, y) sites.  Python ints keep max - min
-    # from wrapping on spans near 2^64.
-    if a.size == 0:
-        return None
-    lo = int(a.min())
-    if int(a.max()) - lo > 2 * a.size:
-        return None
-    off = a - lo
-    return lo, off, np.bincount(off)
+def _row_counts(a: np.ndarray, carry=None, counts: bool = True, inverse: bool = False):
+    """Count the values of each row of the 2-D int64 array a, added to carry,
+    the result of an earlier call on the same rows.
 
-
-def _first_of_runs(s: np.ndarray) -> np.ndarray:
-    # True at the first element of each run of equal values along the last
-    # axis of s, sorted along it
-    keep = np.empty(s.shape, dtype=bool)
-    keep[..., :1] = True
-    np.not_equal(s[..., 1:], s[..., :-1], out=keep[..., 1:])
-    return keep
-
-
-def _row_counts(a: np.ndarray, carry=None, counts: bool = True):
-    """Merge the rows of the 2-D int64 array a into carry, one multiset of
-    integers per row, as the walk kernels count sites chunk by chunk.
-
-    A multiset is (values, weights, first): values sorted along each row,
-    the count of each entry (None when each counts once, or when counts
-    is False and none are kept) and True at the first entry of each run
-    of equal values.  a is sorted in place and, without a carry (None or
-    with no entries), becomes values; with one, both sides are packed to
-    one entry per distinct value before they merge.
+    Returns (values, weights, runs, inv): each row's distinct values in
+    increasing order, row after row, and their counts; how many distinct
+    values each row has; and with inverse, each entry of a's index into
+    values.  Without counts only runs is made (values and weights are
+    None, and the result cannot be a carry), and a is the caller's
+    scratch, which the sort route sorts in place; a is not changed
+    otherwise.  The offset route is taken when rows x W is at most twice
+    the entries of a and carry, W being the widest row's span
+    max - min + 1 over both; a sort of each row otherwise.
     """
-    a.sort(axis=1)
-    merged = (a, None, _first_of_runs(a))
-    if carry is not None and carry[0].size:
-        (v0, c0), (v1, c1) = _packed(*carry, counts), _packed(*merged, counts)
-        values = np.concatenate([v0, v1], axis=1)
-        weights = None
-        # two sorted runs per row, which a stable sort (timsort) merges in
-        # linear time
+    rows = len(a)
+    values, weights, runs = carry[:3] if carry is not None else \
+        (np.empty(0, dtype=np.int64),) * 2 + (np.zeros(rows, dtype=np.intp),)
+    lo, hi = a.min(axis=1, initial=_MAX), a.max(axis=1, initial=_MIN)
+    if values.size:
+        # every row of a carry holds values, sorted
+        ends = np.cumsum(runs)
+        np.minimum(lo, values[ends - runs], out=lo)
+        np.maximum(hi, values[ends - 1], out=hi)
+    # max - min is exact in uint64 (and 1 for a block with no entries), and
+    # Python ints hold rows * W
+    width = int((hi.view(np.uint64) - lo.view(np.uint64)).max(initial=0)) + 1
+    inv = None
+    if rows * width <= 2 * (a.size + values.size):
+        # index r * W + v - min_r, wrapping in uint64 back into [0, rows * W)
+        shift = np.arange(rows, dtype=np.uint64) * np.uint64(width) - lo.view(np.uint64)
+        off = (a.view(np.uint64) + shift[:, None]).view(np.int64)
+        tally = np.bincount(off.ravel(), minlength=rows * width)
+        tally[(values.view(np.uint64) + np.repeat(shift, runs)).view(np.int64)] += weights
+        kept = tally.reshape(rows, width) > 0
         if counts:
-            order = np.argsort(values, axis=1, kind="stable")
-            values = np.take_along_axis(values, order, axis=1)
-            weights = np.take_along_axis(np.concatenate([c0, c1], axis=1), order,
-                                         axis=1)
+            at = np.flatnonzero(kept)
+            values = (at.view(np.uint64) - shift[at // width]).view(np.int64)
+            weights = tally[at]
+        if inverse:
+            inv = (np.cumsum(kept) - 1).take(off)
+    else:
+        # the carried values open their row, padded out with its max at
+        # weight 0: a sorted run that a stable sort (timsort) merges with
+        # the new values in linear time
+        pad = int(runs.max(initial=0))
+        s = a
+        if pad:
+            filled = np.arange(pad) < runs[:, None]
+            s = np.concatenate([np.broadcast_to(hi[:, None], (rows, pad)), a], axis=1)
+            s[:, :pad][filled] = values
+            w = np.ones(s.shape, dtype=np.int64)
+            w[:, :pad] = 0
+            w[:, :pad][filled] = weights
+        order = np.argsort(s, axis=1, kind="stable") if pad or inverse else None
+        if order is not None:
+            s = np.take_along_axis(s, order, axis=1)
+        elif counts:
+            s = np.sort(s, axis=1)
         else:
-            values.sort(axis=1, kind="stable")
-        merged = (values, weights, _first_of_runs(values))
-    return merged
-
-
-def _run_counts(weights, first):
-    """Each row's counts of distinct values in a _row_counts multiset, row
-    after row, and how many distinct values each row has."""
-    starts = np.flatnonzero(first)
-    counts = (np.diff(starts, append=first.size) if weights is None
-              else np.add.reduceat(weights.ravel(), starts))
-    return counts, np.count_nonzero(first, axis=1)
-
-
-def _packed(values, weights, first, counts: bool):
-    # (rows x k) arrays of each row's distinct values, increasing, and their
-    # counts (None unless counts), padded with the row's largest value at
-    # count 0
-    runs = np.count_nonzero(first, axis=1)
-    col = np.arange(runs.max())
-    at = np.minimum(col, runs[:, None] - 1) + (np.cumsum(runs) - runs)[:, None]
-    return values[first][at], (np.where(col < runs[:, None],
-                                        _run_counts(weights, first)[0][at], 0)
-                               if counts else None)
-
-
-def _local_times(a):
-    """Distinct values, their counts, and each element's index into them.
-
-    Equals numpy's unique(a, return_counts=True, return_inverse=True),
-    with the counts moved before the inverse and the inverse flattened.
-    Narrow inputs are counted by an offset bincount, wide ones (encoded
-    sites) by a sort.
-    """
-    a = np.asarray(a, dtype=np.int64).ravel()
-    narrow = _offset_counts(a)
-    if narrow is not None:
-        lo, off, cnt = narrow
-        present = cnt > 0
-        rank = np.cumsum(present) - 1
-        return np.flatnonzero(present) + lo, cnt[present], rank[off]
-    order = np.argsort(a)
-    s = a[order]
-    keep = _first_of_runs(s)
-    inverse = np.empty(a.size, dtype=np.intp)
-    inverse[order] = np.cumsum(keep) - 1
-    return s[keep], np.diff(np.append(np.flatnonzero(keep), s.size)), inverse
+            s.sort(axis=1)
+        kept = np.empty(s.shape, dtype=bool)
+        kept[:, :1] = True
+        np.not_equal(s[:, 1:], s[:, :-1], out=kept[:, 1:])
+        if counts:
+            at = np.flatnonzero(kept)
+            values, s = s.ravel()[at], None  # s is freed before the weights are made
+            weights = (np.add.reduceat(np.take_along_axis(w, order, axis=1).ravel(), at)
+                       if pad else np.diff(at, append=kept.size))
+        if inverse:
+            inv = np.empty(kept.shape, dtype=np.intp)
+            np.put_along_axis(inv, order, (np.cumsum(kept) - 1).reshape(kept.shape), axis=1)
+            inv = inv[:, pad:]
+    if not counts:
+        values = weights = None
+    return values, weights, np.count_nonzero(kept, axis=1), inv

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laws import StableLaw, _local_times, sample_stable
+from .laws import StableLaw, _row_counts, sample_stable
 from .rng import as_generator
 
 
@@ -75,8 +75,9 @@ def _draw_components(walk_law: StableLaw, scenery_law: StableLaw,
                      m: int, h: float, gen):
     """Stable path, the local times of its cells, and dU per occupied cell.
 
-    The local times are _local_times of the cell sequence: the sorted
-    occupied cells, their visit counts and each step's index into them.
+    The local times are laws._row_counts of the cell sequence: the
+    sorted occupied cells, their visit counts and each step's index into
+    them.
     The field draws attach to the sorted cells, one h^(1/beta) stable
     variate each; drawing them after the path keeps both pieces
     independent and the whole sample a deterministic function of the
@@ -90,8 +91,10 @@ def _draw_components(walk_law: StableLaw, scenery_law: StableLaw,
     y = sample_stable_path(walk_law, m, gen)
     # cell index of each step j = 1..m; time 0 is not counted, matching
     # the local-time convention of the lattice walks
-    local = _local_times(np.floor(y[1:] / h).astype(np.int64))
-    du = sample_stable(scenery_law, gen, size=local[0].size) \
+    cells, counts, _, inv = _row_counts(np.floor(y[None, 1:] / h).astype(np.int64),
+                                        inverse=True)
+    local = cells, counts, inv[0]
+    du = sample_stable(scenery_law, gen, size=cells.size) \
         * h ** (1.0 / scenery_law.index)
     return y, local, du
 

@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .enumeration import marked_sum_law, no_return_probability
-from .laws import (_BLOCK_STEPS, _local_times, _marked_trials, _marked_walk,
+from .laws import (_BLOCK_STEPS, _marked_trials, _marked_walk,
                    _no_return_count, _row_blocks, _row_counts, lattice_at_sites,
                    lazy_vertical, rademacher, sample_lattice)
 from .rng import _M64, RngStream, _mix64_vec, mix64, site_hash
@@ -89,14 +89,15 @@ class Environment:
 
     def orientations(self, rows) -> np.ndarray:
         # a walk revisits few rows many times: hash each distinct row once
-        uniq, _, inv = _local_times(rows)
+        rows = np.asarray(rows, dtype=np.int64)
+        uniq, _, _, inv = _row_counts(rows.reshape(1, -1), inverse=True)
         vals = lattice_at_sites(rademacher(), self.master_seed, uniq)
         if self.overrides:
             hit = np.isin(uniq, np.fromiter(self.overrides, dtype=np.int64,
                                             count=len(self.overrides)))
             if hit.any():
                 vals[hit] = [self.overrides[int(r)] for r in uniq[hit]]
-        return vals[inv].reshape(np.shape(rows))
+        return vals[inv].reshape(rows.shape)
 
 
 @dataclass
@@ -199,13 +200,13 @@ def _encode_sites(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def range_sites(path: LatticePath) -> int:
     """Number of distinct lattice sites visited up to time n (time 0 included)."""
-    return int(np.count_nonzero(_row_counts(_encode_sites(path.x, path.y)[None])[2]))
+    return int(_row_counts(_encode_sites(path.x, path.y)[None], counts=False)[2][0])
 
 
 def horizontal_local_time(path: LatticePath) -> HorizontalLocalTime:
     """Count horizontal moves per row over the first n steps."""
     rows = path.y[:-1][path.step_types == H]
-    uniq, cnt, _ = _local_times(rows)
+    uniq, cnt, *_ = _row_counts(rows[None])
     return HorizontalLocalTime(
         counts={int(r): int(c) for r, c in zip(uniq, cnt)},
         steps=len(path.step_types))
@@ -379,13 +380,13 @@ def _trial_block(p: float, n: int, seeds, sites: bool, chunk: int):
 
     Each walk has its own stream and orientation field, as in
     simulate_annealed, walked by laws._marked_trials.  Counting the sites
-    takes a sort of the block, so it is skipped (sites is None) unless
-    asked for.
+    takes a sort of the block (encoded sites are never narrow), so it is
+    skipped (sites is None) unless asked for.
     """
     y_end, x_end, x_min, x_max, first_return, seen = _marked_trials(
         lazy_vertical(p), rademacher(), _mix64_vec(seeds, _WALK_TAG),
         _mix64_vec(seeds, _ENV_TAG), n, chunk, False, True,
         (lambda y, x: _encode_sites(x, y),) if sites else (), False)
     # distinct sites per row, plus the origin unless the walk came back
-    count = np.count_nonzero(seen[0][2], axis=1) + (first_return == 0) if sites else None
+    count = seen[0][2] + (first_return == 0) if sites else None
     return count, x_min, x_max, x_end, y_end, first_return

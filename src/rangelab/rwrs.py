@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .enumeration import marked_sum_law, no_return_probability
-from .laws import (_BATCH_STEPS, _BLOCK_STEPS, _TWO_POINT, LatticeLaw, _lattice_blocks,
-                   _local_times, _marked_trials, _no_return_count, _row_counts,
-                   _run_counts, lattice_at_sites, lattice_support, stable_index)
+from .laws import (_BATCH_STEPS, _BLOCK_STEPS, _TWO_POINT, LatticeLaw, _field_keys,
+                   _lattice_blocks, _marked_trials, _no_return_count, _row_counts,
+                   lattice_at_keyed_sites, lattice_support, stable_index)
 from .rng import _M64, RngStream, _mix64_vec, mix64
 
 ENUMERATION_CAP = 12
@@ -96,38 +96,25 @@ def simulate_rwrs(model: RwrsModel, n: int, master_seed: int) -> ZPath:
     simulations sharing the seed.
 
     The path is built in tiles of _BATCH_STEPS steps whose arrays stay in
-    cache: the walk, its local times by an offset count over its span
-    [min, max], and the scenery sum from a table over that span holding
-    each visited site's value, hashed once.  A walk whose span is over
-    twice its length (a heavy tail) numbers its sites by a sort instead.
+    cache.  Each tile walks on, reads the scenery at every site it reaches
+    through the site hash (as the trial kernels of laws do), and adds its
+    sites to the local times that laws._row_counts carries from tile to
+    tile.
     """
     if n < 0:
         raise ValueError("step count must be nonnegative")
-    tiles = range(1, n + 1, _BATCH_STEPS)
+    keys = _field_keys(mix64(master_seed, _SCENERY_TAG))
     walk, values = np.zeros((2, n + 1), dtype=np.int64)
-    for t, steps in zip(tiles, _lattice_blocks(
+    seen = _row_counts(walk[None, :0])
+    for t, steps in zip(range(1, n + 1, _BATCH_STEPS), _lattice_blocks(
             model.walk_law, RngStream(mix64(master_seed, _WALK_TAG), 0), n,
             _BATCH_STEPS)):
         _carried_cumsum(walk, t, steps)
-    lo, hi = (int(walk[1:].min()), int(walk[1:].max())) if n else (0, -1)
-    wide = hi - lo > 2 * n
-    if wide:
-        uniq, cnt, inv = _local_times(walk[1:])
-    else:
-        cnt = np.zeros(hi - lo + 1, dtype=np.int64)
-        for t in tiles:
-            np.add.at(cnt, walk[t:t + _BATCH_STEPS] - lo, 1)
-        uniq = np.flatnonzero(cnt) + lo
-        cnt = cnt[uniq - lo]
-    site_vals = lattice_at_sites(model.scenery_law, mix64(master_seed, _SCENERY_TAG),
-                                 uniq)
-    table = site_vals if wide else np.zeros(hi - lo + 1, dtype=np.int64)
-    if not wide:
-        table[uniq - lo] = site_vals
-    for t in tiles:
-        index = (inv[t - 1:t - 1 + _BATCH_STEPS] if wide
-                 else walk[t:t + _BATCH_STEPS] - lo)
-        _carried_cumsum(values, t, table.take(index))
+        sites = walk[t:t + steps.size]
+        _carried_cumsum(values, t, lattice_at_keyed_sites(model.scenery_law, *keys, sites))
+        seen = _row_counts(sites[None], seen)
+    uniq, cnt = seen[:2]
+    site_vals = lattice_at_keyed_sites(model.scenery_law, *keys, uniq)
     uniq = uniq.tolist()
     return ZPath(model=model, walk=walk, values=values,
                  scenery=dict(zip(uniq, site_vals.tolist())),
@@ -155,17 +142,16 @@ def _power_sums(counts: np.ndarray, runs: np.ndarray, beta: float) -> np.ndarray
     LocalTimeMap.counts adds them (np.cumsum adds in order, np.sum pairs
     terms up).
     """
-    uniq, _, inv = _local_times(counts)
+    uniq, _, _, inv = _row_counts(counts[None], inverse=True)
     w = np.zeros((runs.size, int(runs.max(initial=0)) + 1))
     w[np.arange(w.shape[1]) < runs[:, None]] = \
-        np.array([c ** beta for c in uniq.tolist()])[inv]
+        np.array([c ** beta for c in uniq.tolist()])[inv[0]]
     return np.cumsum(w, axis=1)[:, -1]
 
 
 def range_z(zpath: ZPath) -> int:
     """Number of distinct values among Z_0..Z_n (the starting 0 included)."""
-    # a sort: _local_times would also build an inverse as large as the path
-    return int(np.count_nonzero(_row_counts(zpath.values[None].copy())[2]))
+    return int(_row_counts(zpath.values[None])[2][0])
 
 
 def z_spread(zpath: ZPath) -> int:
@@ -288,8 +274,8 @@ def _trial_block(model: RwrsModel, n: int, seeds, chunk: int):
         model.walk_law, model.scenery_law, _mix64_vec(seeds, _WALK_TAG),
         _mix64_vec(seeds, _SCENERY_TAG), n, chunk, True, False,
         (lambda s, z: s, lambda s, z: z))
-    counts, runs = _run_counts(*sites[1:])
-    level_counts, distinct = _run_counts(*levels[1:])
+    _, counts, runs, _ = sites
+    _, level_counts, distinct, _ = levels
     # per-row sums of squares; the appended 0 keeps reduceat's row starts
     # in range when n = 0
     vn, zv = (np.add.reduceat(np.append(c * c, 0), np.cumsum(k) - k)

@@ -1,6 +1,7 @@
 """Stable and lattice law contracts, checked against closed-form cases."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from rangelab.laws import (LatticeLaw, StableLaw, lattice_at_sites,
                            sample_stable, simple_symmetric, stable_cf,
                            stable_index, ternary)
 from rangelab import laws
-from rangelab.laws import (_keyed_signs, _local_times, _pareto_magnitudes, _pareto_tables,
+from rangelab.laws import (_keyed_signs, _pareto_magnitudes, _pareto_tables, _row_counts,
                            _values_from_words)
 from rangelab.oriented import _encode_sites, no_return_count
 from rangelab.rng import RngStream, _finalize_vec
@@ -398,34 +399,86 @@ def test_lattice_at_sites_differs_across_seeds():
 
 
 # ---------------------------------------------------------------------------
-# distinct values and local times, against numpy's unique as the reference
+# distinct values and local times: _row_counts against a Counter per row
 
 _COORD = st.integers(min_value=-2**31 + 1, max_value=2**31 - 1)
-_INT_ARRAYS = st.one_of(
-    # narrow span: the offset-bincount branch once the list is long enough
-    st.lists(st.integers(min_value=-40, max_value=40), max_size=300),
-    # encoded (x, y) sites: the sort branch
-    st.lists(st.tuples(_COORD, _COORD), max_size=300).map(
+# each kind draws one row of a chunk; narrow rows of 40 or more entries take
+# the offset route, the others the sort
+_ROWS = {
+    "narrow": lambda k: st.lists(st.integers(min_value=-20, max_value=20),
+                                 min_size=k, max_size=k),
+    # encoded (x, y) sites
+    "sites": lambda k: st.lists(st.tuples(_COORD, _COORD), min_size=k, max_size=k).map(
         lambda xy: _encode_sites(np.array([x for x, _ in xy], dtype=np.int64),
-                                 np.array([y for _, y in xy], dtype=np.int64))),
-    # spans up to the whole int64 range, where max - min would wrap
-    st.lists(st.integers(min_value=-2**63, max_value=2**63 - 1), max_size=50),
-).map(lambda v: np.asarray(v, dtype=np.int64))
+                                 np.array([y for _, y in xy], dtype=np.int64)).tolist()),
+    # spans up to the whole int64 range, where max - min and rows * W wrap
+    "wide": lambda k: st.lists(st.one_of(
+        st.integers(min_value=-2**63, max_value=2**63 - 1),
+        st.sampled_from([-2**63, -2**63 + 1, -1, 0, 2**63 - 2, 2**63 - 1])),
+        min_size=k, max_size=k),
+}
+
+# narrow rows the more often, so that whole blocks take the offset route
+_KINDS = ["narrow"] * 4 + ["sites", "wide"]
 
 
-@given(_INT_ARRAYS)
-@example(np.array([], dtype=np.int64))
-@example(np.array([-7], dtype=np.int64))
-@example(np.arange(-500, 500) // 3)
-@example(np.array([-2**63, 2**63 - 1, 0, -2**63], dtype=np.int64))
+@st.composite
+def _chunks(draw):
+    # a few chunks of the same rows; each row picks its kind anew per
+    # chunk, so that a carried span widens or switches route mid-walk
+    rows = draw(st.integers(min_value=0, max_value=4))
+    chunks = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        k = draw(st.sampled_from([0, 1, 3, 40, 60]))
+        chunks.append(np.array([draw(_ROWS[draw(st.sampled_from(_KINDS))](k))
+                                for _ in range(rows)], dtype=np.int64).reshape(rows, k))
+    return chunks
+
+
+def _one_row(*values):
+    return [np.array([values], dtype=np.int64)]
+
+
+@given(_chunks())
+@example(_one_row())
+@example(_one_row(-7))
+@example([(np.arange(-500, 500) // 3)[None]])
+@example(_one_row(-2**63, 2**63 - 1, 0, -2**63))
+# offsets, then a wider span still narrow, then the sort, then narrow
+# values on top of the sort's wide carry
+@example([np.arange(0, 50)[None] % 7, np.arange(0, 50)[None] % 11 - 30,
+          np.array([[2**62, -2**62, 5]]), np.arange(0, 50)[None] % 3])
+@example([np.zeros((3, 0), dtype=np.int64)])
+@example([np.zeros((2, 5), dtype=np.int64), np.zeros((2, 0), dtype=np.int64)])
 @settings(max_examples=300, deadline=None)
-def test_distinct_and_local_times_equal_numpy_unique(a):
-    values, inverse, counts = np.unique(a, return_inverse=True, return_counts=True)
-    v, c, inv = _local_times(a)
-    assert v.dtype == np.int64 and np.array_equal(v, values)
-    assert np.array_equal(c, counts)
-    assert np.array_equal(inv, inverse.reshape(-1))
-
+def test_row_counts_equal_a_counter_per_row(chunks):
+    rows = len(chunks[0])
+    seen = [Counter() for _ in range(rows)]
+    carry = None
+    for a in chunks:
+        before = a.copy()
+        values, weights, runs, inv = _row_counts(a, carry, inverse=True)
+        for row, c in zip(a.tolist(), seen):
+            c.update(row)
+        assert np.array_equal(a, before)
+        want = [sorted(c.items()) for c in seen]
+        assert values.tolist() == [v for w in want for v, _ in w]
+        assert weights.tolist() == [n for w in want for _, n in w]
+        assert runs.tolist() == [len(w) for w in want]
+        # each entry's index points at its value, in its own row's stretch
+        starts = (np.cumsum(runs) - runs)[:, None]
+        assert inv.shape == a.shape and np.array_equal(values[inv], a)
+        assert ((inv >= starts) & (inv < starts + runs[:, None])).all()
+        if carry is None and rows == 1:
+            # the one-row case is numpy's unique with counts and inverse
+            u, u_inv, u_counts = np.unique(a, return_inverse=True, return_counts=True)
+            assert values.dtype == np.int64 and np.array_equal(values, u)
+            assert np.array_equal(weights, u_counts)
+            assert np.array_equal(inv[0], u_inv.reshape(-1))
+        # without counts the block is scratch, which the sort route reorders
+        none, _, only_runs, _ = _row_counts(a.copy(), carry, counts=False)
+        assert none is None and np.array_equal(only_runs, runs)
+        carry = values, weights, runs, inv
 
 # ---------------------------------------------------------------------------
 # escape counts: the time-major and row-major routes of one kernel

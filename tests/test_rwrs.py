@@ -276,8 +276,9 @@ def test_ternary_scenery_range_identity():
 
 
 def test_level_counts_hold_no_inverse():
-    # Z's levels are counted by a sort of one copy of the path (8 MB per 10^6
-    # steps); an inverse index as large as the path would double that
+    # Z's levels are counted through one array of offsets as large as the
+    # path (8 MB per 10^6 steps); an inverse index as large as the path
+    # would double that
     import tracemalloc
     zp = simulate_rwrs(SIMPLE_RAD, 10**6, 4)
     tracemalloc.start()
