@@ -86,7 +86,7 @@ def _cms_parameters(law: StableLaw) -> tuple[float, float]:
 
 
 def sample_stable(law: StableLaw, rng, size: int | None = None):
-    """Draw from ``law`` by the polar (uniform angle, exponential) transform.
+    """Draw from ``law``: a scaled normal at index 2, else the polar transform.
 
     With V uniform on (-pi/2, pi/2), W standard exponential, theta0 =
     atan(skew * tan(pi*index/2)) / index and s the matching tilt factor,
@@ -95,12 +95,12 @@ def sample_stable(law: StableLaw, rng, size: int | None = None):
               * (cos(V - index*(V + theta0)) / W)^((1-index)/index)
 
     is standard stable with the given skewness; multiplying by the scale
-    gives the target law.  At index 2 the formula collapses to 2 sin(V)
-    sqrt(W), a centered Gaussian of variance 2, and at index 1 (symmetric
-    only) to tan(V); both are evaluated in that closed form, which agrees
-    with the general one to the last bits.  V and W are always drawn, in
-    that order and W even at index 1, so a call moves the stream by the
-    same amount at every index.
+    gives the target law.  At index 1 (symmetric only) it collapses to
+    tan(V), equal to the general form to the last bits, and W is still
+    drawn, so indices below 2 move the stream equally far.  Index 2 draws
+    N(0, 2) as sqrt(2) times a ziggurat normal, whose stream use varies
+    by draw; no caller needs a fixed advance, as each draws its pieces in
+    a fixed order from one generator.
 
     Returns a scalar when size is None, else an ndarray of that length.
     """
@@ -108,13 +108,13 @@ def sample_stable(law: StableLaw, rng, size: int | None = None):
     n = 1 if size is None else int(size)
     scale, skew = _cms_parameters(law)
     a = law.index
+    if a == 2.0:
+        x = gen.standard_normal(n)
+        x *= math.sqrt(2.0) * scale
+        return float(x[0]) if size is None else x
     v = gen.uniform(-math.pi / 2.0, math.pi / 2.0, n)
     w = gen.standard_exponential(n)
-    if a == 2.0:
-        x = np.sin(v)
-        x *= np.sqrt(w, out=w)
-        x *= 2.0 * scale
-    elif a == 1.0:
+    if a == 1.0:
         x = np.tan(v, out=v)
         x *= scale
     else:

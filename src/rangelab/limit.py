@@ -66,9 +66,11 @@ def sample_stable_path(law: StableLaw, m: int, rng) -> np.ndarray:
     """
     if m < 1:
         raise ValueError("mesh must have at least one step")
-    gen = as_generator(rng)
-    inc = sample_stable(law, gen, size=m) * float(m) ** (-1.0 / law.index)
-    return np.concatenate([[0.0], np.cumsum(inc)])
+    inc = sample_stable(law, rng, size=m)
+    inc *= float(m) ** (-1.0 / law.index)
+    path = np.zeros(m + 1)
+    np.cumsum(inc, out=path[1:])
+    return path
 
 
 def _draw_components(walk_law: StableLaw, scenery_law: StableLaw,
@@ -77,11 +79,10 @@ def _draw_components(walk_law: StableLaw, scenery_law: StableLaw,
 
     The local times are laws._row_counts of the cell sequence: the
     sorted occupied cells, their visit counts and each step's index into
-    them.
-    The field draws attach to the sorted cells, one h^(1/beta) stable
-    variate each; drawing them after the path keeps both pieces
+    them.  The field draws attach to the sorted cells, one h^(1/beta)
+    stable variate each; drawing them after the path keeps both pieces
     independent and the whole sample a deterministic function of the
-    stream.
+    stream, however many draws the path took.
     """
     if walk_law.index <= 1.0:
         raise ValueError("the walk limit must have index above 1 "
@@ -93,10 +94,9 @@ def _draw_components(walk_law: StableLaw, scenery_law: StableLaw,
     # the local-time convention of the lattice walks
     cells, counts, _, inv = _row_counts(np.floor(y[None, 1:] / h).astype(np.int64),
                                         inverse=True)
-    local = cells, counts, inv[0]
     du = sample_stable(scenery_law, gen, size=cells.size) \
         * h ** (1.0 / scenery_law.index)
-    return y, local, du
+    return y, (cells, counts, inv[0]), du
 
 
 def sample_scenery_integral(walk_law: StableLaw, scenery_law: StableLaw,

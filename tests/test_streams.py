@@ -296,7 +296,7 @@ CASES = {
         "2163cdd8aef45c26d57beea78babb943b0239d18b18667f944b0e015b9ba725d"),
     "harness_limit": (
         lambda: harness_parts("limit"),
-        "943153a8f4613a16b9376f11a39d00b69b8a3984ea4c88c975aff33c63137fe5"),
+        "7b46614a551289ea23431e8bc4c52a1a6583115939eb0f24558199a33fb2d992"),
     "annealed_endpoints": (
         annealed_endpoints_parts,
         "4e9ed89f180cf773802c3ffcdf5ce2cc3eb2598476387b30b8ae677e36bf7644"),
@@ -320,7 +320,7 @@ CASES = {
         "d4660cfcdc764d322ac57a5e95f1688a44b2c3454ab55d475723f42a7a136b3b"),
     "sample_scenery_integral": (
         sample_scenery_integral_parts,
-        "2a0555ca89be3063ef24e2765b9438d8dcf1b852b239f36b9c2579c5e31660f8"),
+        "c0a553b22c69547ef5eb10ad15a8eac02263e5a0e4151d3661f8ff96b6bade8f"),
     "sample_stable_below_1": (
         lambda: sample_stable_parts(STABLE_LAWS["below_1"]),
         "df6beeffb6413197ec3d148f3d2eb74a9c3a5bf401e2933133973191275dcb5b"),
@@ -329,10 +329,10 @@ CASES = {
         "2c99ed071a27c255f0e95ed9c33a0bb116e0dda19e2e4786c23c05f794934187"),
     "sample_stable_index2": (
         lambda: sample_stable_parts(STABLE_LAWS["index2"]),
-        "996c364eeca26d0c62310f830ca96e275291ba954f67a6d132abdbc7e742456e"),
+        "d61f6fc16f78954ed5bfe4323fc9fd2a5f5f536225813a2975069cd7c85e9679"),
     "sample_stable_path": (
         sample_stable_path_parts,
-        "ed6f975dca12768b2270e9268bc96b90703e50e0fb5953f55a834a33f629f7e8"),
+        "34c52153bd51adb6fdc7af0fcf38bb3a6c642c2a6bbfdecb703cfaa899a8e03e"),
     "sample_stable_skewed_1_2": (
         lambda: sample_stable_parts(STABLE_LAWS["skewed_1_2"]),
         "3111203bcf903147d5cab0aeca9ea1d9719609019bd1c97cbe2edee1676b399c"),
