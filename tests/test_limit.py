@@ -162,11 +162,11 @@ def test_integral_variance_is_stable_under_mesh_refinement():
 
 def test_spread_converges_along_dyadic_meshes():
     # each refinement quarters the time step and halves the cell width,
-    # and must move the mean spread (about 1) by under 15 %.  Over 200
-    # seed triples the two relative moves had means 0.073 and 0.044 and,
-    # at 1200 paths a mesh, SDs 0.026 and 0.024: 2400 paths put a correct
-    # sampler 4.2 SDs inside the bound.  A field scaled by h in place of
-    # h^(1/2) shrinks the spread by about 1/sqrt(2) per refinement
+    # and must move the mean spread (about 1) by under 15 %.  Over 100
+    # seed triples of 2400 paths a mesh the two relative moves had means
+    # 0.074 and 0.044 and SDs 0.015 and 0.015, so a correct sampler sits
+    # 4.9 SDs inside the bound.  A field scaled by h in place of h^(1/2)
+    # moved the spread by -0.24 and -0.27, 6.5 SDs outside it
     n = 2400
 
     def mean_spread(m, h, seed):
