@@ -24,9 +24,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import platform
 import sys
 from functools import lru_cache
 from pathlib import Path
+
+import numpy as np
 
 from . import harness, oriented, rwrs
 from .harness import ConfigError, ExperimentSpec, ResourceCapError
@@ -153,7 +157,7 @@ def cmd_run(args) -> int:
                          for n, stat, mean, ci, count in rows)
 
     summary = {"config": cfg, "master_seed": cfg["seed"],
-               "files": {"csv": csv_path.name},
+               "files": {"csv": csv_path.name}, "provenance": _provenance(),
                "results": {str(n): {} for n in spec.sizes}}
     for n, stat, mean, ci, count in rows:
         summary["results"][str(n)][stat] = {"mean": mean, "ci_half": ci,
@@ -162,6 +166,14 @@ def cmd_run(args) -> int:
         json.dumps(summary, sort_keys=True, indent=2) + "\n")
     print(f"wrote {csv_path} and {out_dir / 'summary.json'}", file=sys.stderr)
     return 0
+
+
+def _provenance() -> dict:
+    # what made the numbers: the package (its version names the streams),
+    # numpy and Python versions and the cores; no git call, so run stays cheap
+    from . import __version__
+    return {"rangelab": __version__, "numpy": np.__version__,
+            "python": platform.python_version(), "cpu_count": os.cpu_count()}
 
 
 def cmd_scaling(args) -> int:

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import limit, oriented, rwrs
-from .laws import _BLOCK_STEPS, StableLaw
+from .laws import _BLOCK_STEPS, ResourceCapError, StableLaw
 from .rng import RngStream, _mix64_vec, mix64
 
 MAX_TOTAL_STEPS = 20_000_000_000
@@ -38,10 +38,6 @@ _SIZE_TAG = 401
 
 class ConfigError(ValueError):
     """The experiment description is malformed; exit code 2 territory."""
-
-
-class ResourceCapError(RuntimeError):
-    """The experiment is well-formed but exceeds the sandbox budget; exit 3."""
 
 
 # ---------------------------------------------------------------------------

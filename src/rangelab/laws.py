@@ -12,9 +12,10 @@ variance 2 * a1.
 
 Lattice laws are integer-valued distributions used as walk steps and
 scenery values.  All of them are symmetric, hence centered whenever the
-mean exists, and their support generates the integers.  Steps and site
-values are decoded from 64-bit words w as the inverse CDF decodes the
-uniform (w >> 11) * 2^-53, which only pareto_tail forms.
+mean exists, and their support generates the integers.  Site values,
+and steps of the laws with more than two values, are decoded from 64-bit
+words w as the inverse CDF decodes the uniform (w >> 11) * 2^-53, which
+only pareto_tail forms; a two-point step is a single bit of a word.
 
 Both models' Monte Carlo kernels live here too.  Each model sums a
 hashed site field along a walk: rwrs marks every arrival site, the
@@ -248,6 +249,12 @@ def stable_index(law: LatticeLaw) -> float:
 
 # -- sampling ---------------------------------------------------------------
 
+
+class ResourceCapError(RuntimeError):
+    """The input is well-formed but exceeds a resource cap: the step budget,
+    a size cap or, for a pareto draw, the int64 range; exit code 3."""
+
+
 _TABLE_CUT = 4096
 
 
@@ -281,14 +288,14 @@ def _deep_magnitudes(index: float, z: float, target: np.ndarray) -> np.ndarray:
     # once: double hi from 2 * _TABLE_CUT until cdf(hi) >= target, then
     # bisect (lo, hi], so each target sees the cdf at the same k in the same
     # order as a one-at-a-time search.  uint64 holds hi up to 2^63; a
-    # magnitude past int64 raises as storing it would.
+    # magnitude past int64 cannot be stored and raises ResourceCapError.
     lo = np.full(target.shape, _TABLE_CUT, dtype=np.uint64)
     hi = 2 * lo
     up = np.arange(target.size)
     while up.size:
         up = up[_pareto_magnitude_cdf(index, z, hi[up]) < target[up]]
         if (hi[up] >= np.uint64(1 << 63)).any():
-            raise OverflowError("pareto magnitude beyond the int64 range")
+            raise ResourceCapError("pareto magnitude beyond the int64 range")
         lo[up] = hi[up]
         hi[up] *= np.uint64(2)
     wide = np.arange(target.size)
@@ -299,7 +306,7 @@ def _deep_magnitudes(index: float, z: float, target: np.ndarray) -> np.ndarray:
         lo[wide[below]] = mid[below]
         hi[wide[~below]] = mid[~below]
     if (hi >= np.uint64(1 << 63)).any():
-        raise OverflowError("pareto magnitude beyond the int64 range")
+        raise ResourceCapError("pareto magnitude beyond the int64 range")
     return hi.astype(np.int64)
 
 
@@ -311,15 +318,22 @@ def _at_cut(w: np.ndarray, cut: float) -> np.ndarray:
 
 def _values_from_words(law: LatticeLaw, w0: np.ndarray,
                        w1: np.ndarray | None) -> np.ndarray:
-    """Map pairs of 64-bit words to law values; the single shared decoder.
+    """Map 64-bit words to law values; the single decoder of stream draws.
 
-    The bounded kinds compare w0 with their cuts, the two-point ones read
-    its top bit; only pareto_tail reads w1, the other kinds accept None
-    for it.  The bounded kinds come back as int8, pareto_tail as int64.
+    The two-point kinds read every bit of w0: the words along its last
+    axis, k of them, give 64 * k values there, bit j of word i (lowest
+    bit first) being value 64 * i + j, +1 for a set bit.  The other kinds
+    compare each word of w0 with their cuts, one value per word; only
+    pareto_tail reads w1, the others accept None for it.  The bounded
+    kinds come back as int8, pareto_tail as int64.
     """
     if law.kind in _TWO_POINT:
-        out = (w0 >= np.uint64(1 << 63)).view(np.int8)
-        out += out - 1
+        # bytes in little-endian order, so bit j of a word is bit j % 8 of
+        # byte j // 8 whatever the host's byte order
+        w0 = np.ascontiguousarray(w0, dtype="<u8")
+        out = np.unpackbits(w0.view(np.uint8), axis=-1, bitorder="little").view(np.int8)
+        out += out
+        out -= 1
         return out
     # the ternary kinds give 0, +1, -1 between their cuts, and so do the
     # atom and the two signed tails of pareto_tail
@@ -350,7 +364,13 @@ def _keyed_signs(keys, sites, out=None, work=None) -> np.ndarray:
 
 
 def sample_lattice(law: LatticeLaw, rng, size: int | None = None):
-    """Draw from ``law`` using a stream or generator; scalar when size is None."""
+    """Draw from ``law`` using a stream or generator; scalar when size is None.
+
+    Draws decode the generator's raw 64-bit words: a two-point law takes
+    one bit per draw (draw k is bit k % 64 of word k // 64, lowest bit
+    first), so n draws move the stream ceil(n / 64) words; the other laws
+    take one word per draw, and pareto_tail n more for its magnitudes.
+    """
     n = 1 if size is None else int(size)
     vals = next(_lattice_blocks(law, rng, n, max(n, 1)), np.zeros(0, dtype=np.int64))
     return int(vals[0]) if size is None else vals.astype(np.int64, copy=False)
@@ -360,12 +380,25 @@ def _lattice_blocks(law: LatticeLaw, rng, n: int, chunk: int):
     """Yield n draws from ``law`` in consecutive blocks of at most chunk draws,
     so that the blocks do not depend on chunk.
 
-    w0 is read from the first n raw words of rng and, for pareto_tail only,
-    w1 from the next n.  Across blocks w1 comes from a second generator of
-    the stream moved past the first n (Philox advance(k) skips 4k words),
-    so rng must then be an RngStream, not a Generator.
+    A two-point law reads the bits of the first ceil(n / 64) raw words of
+    rng, as _values_from_words decodes them; the bits a block leaves
+    unread open the next block.  The other laws read w0 from the first n
+    raw words and, for pareto_tail only, w1 from the next n.  Across
+    blocks w1 comes from a second generator of the stream moved past the
+    first n (Philox advance(k) skips 4k words), so rng must then be an
+    RngStream, not a Generator.
     """
     bits = as_generator(rng).bit_generator
+    if law.kind in _TWO_POINT:
+        spare = np.zeros(0, dtype=np.int8)
+        for done in range(0, n, chunk):
+            m = min(chunk, n - done)
+            if spare.size < m:
+                words = bits.random_raw(-(-(m - spare.size) // 64))
+                spare = np.concatenate([spare, _values_from_words(law, words, None)])
+            yield spare[:m]
+            spare = spare[m:]
+        return
     second = None
     if law.kind == "pareto_tail":
         second = bits
@@ -486,9 +519,15 @@ def _marked_trials(walk: LatticeLaw, field: LatticeLaw, streams, fields, n: int,
     seen = [_row_counts(np.zeros((len(streams), 0), dtype=np.int64)) for _ in tallies]
     for c0 in range(0, n, chunk):
         w = min(chunk, n - c0)
-        # as sample_lattice: w1 of step k is word n + k of the stream
-        w1 = _word_rows(streams, w, n + c0) if walk.kind == "pareto_tail" else None
-        steps = _values_from_words(walk, _word_rows(streams, w, c0), w1)
+        if walk.kind in _TWO_POINT:
+            # as sample_lattice: step k is bit k % 64 of word k // 64
+            skip = c0 % 64
+            steps = _values_from_words(walk, _word_rows(
+                streams, -(-(skip + w) // 64), c0 // 64), None)[:, skip:skip + w]
+        else:
+            # w1 of step k is word n + k of the stream
+            w1 = _word_rows(streams, w, n + c0) if walk.kind == "pareto_tail" else None
+            steps = _values_from_words(walk, _word_rows(streams, w, c0), w1)
         keys = [np.empty(steps.shape, dtype=np.int64) for _ in tallies]
         per = _block_rows(w)
         for r0, t0 in product(range(0, len(streams), per),

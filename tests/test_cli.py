@@ -183,6 +183,22 @@ def test_run_writes_table_and_summary(tmp_path, config_path):
     assert resolve_config(summary["config"]) == summary["config"]
 
 
+def test_summary_records_its_provenance(tmp_path, config_path):
+    # the versions that made the numbers (the package's names its streams)
+    # and the core count, in summary.json only
+    import platform
+
+    import numpy as np
+    out = tmp_path / "res"
+    assert run_cli("run", "--config", config_path(), "--out", str(out)) == 0
+    prov = json.loads((out / "summary.json").read_text())["provenance"]
+    assert {k: type(v) for k, v in prov.items()} == {
+        "rangelab": str, "numpy": str, "python": str, "cpu_count": int}
+    assert prov == {"rangelab": rangelab.__version__, "numpy": np.__version__,
+                    "python": platform.python_version(), "cpu_count": os.cpu_count()}
+    assert b"provenance" not in (out / "results.csv").read_bytes()
+
+
 def test_rerun_is_byte_identical(tmp_path, config_path):
     cfg = config_path()
     run_cli("run", "--config", cfg, "--out", str(tmp_path / "a"))
@@ -274,6 +290,15 @@ def test_per_trial_cap_exits_three_before_running(config_path, monkeypatch):
     # within the total budget, but one trial would take too much memory
     big = config_path(sizes=[10, MAX_TRIAL_STEPS + 1], trials=1)
     assert run_cli("run", "--config", big) == 3
+
+
+def test_pareto_magnitude_past_int64_exits_three(tmp_path, config_path, capsys):
+    # at tail index 0.1 a step passes 2^63 with probability near 0.006, so
+    # two walks of 1000 steps reach a magnitude no int64 holds
+    cfg = config_path(model="rwrs", params={"walk": "pareto:0.1", "scenery": "rademacher"},
+                      sizes=[1000], trials=2, outputs=["zrange"], seed=1)
+    assert run_cli("run", "--config", cfg, "--out", str(tmp_path / "r")) == 3
+    assert "pareto magnitude beyond the int64 range" in capsys.readouterr().err
 
 
 def test_runtime_failure_exits_one(tmp_path, config_path, monkeypatch):

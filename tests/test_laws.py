@@ -265,16 +265,20 @@ def uniforms(words):
 
 
 def cuts_and_values(law):
-    # the inverse CDF's cuts and the values between them: two-point laws
-    # cut at 1/2 (-1 | +1), the ternary kinds at zm and zm + (1 - zm)/2
-    # (0 | +1 | -1)
-    if law.kind in ("rademacher", "simple_symmetric"):
-        return [0.5], [-1, 1]
+    # the inverse CDF's cuts and the values between them: the ternary kinds
+    # cut at zm and zm + (1 - zm)/2 (0 | +1 | -1)
     zm = law.zero_mass
     return [zm, zm + (1.0 - zm) / 2.0], [0, 1, -1]
 
 
-BOUNDED_LAWS = [rademacher(), simple_symmetric(), ternary(0.3), lazy_vertical(0.6),
+def bit_values(words):
+    # the two-point decoding, one value per bit: bit j of word i, lowest
+    # first, is value 64 * i + j, +1 when set
+    return [1 if (int(w) >> j) & 1 else -1 for w in words for j in range(64)]
+
+
+TWO_POINT_LAWS = [rademacher(), simple_symmetric()]
+BOUNDED_LAWS = [*TWO_POINT_LAWS, ternary(0.3), lazy_vertical(0.6),
                 ternary(0.0), lazy_vertical(1.0 - 2.0**-53)]
 
 
@@ -282,7 +286,16 @@ BOUNDED_LAWS = [rademacher(), simple_symmetric(), ternary(0.3), lazy_vertical(0.
 def test_decoder_cuts_belong_to_the_upper_value(law):
     # T = ceil(cut * 2^53): the word T * 2^11 is the first whose uniform
     # reaches the cut and decodes to the value above it, the word before it
-    # to the value below; a cut that rounds to 1.0 (T = 2^53) no word reaches
+    # to the value below; a cut that rounds to 1.0 (T = 2^53) no word reaches.
+    # A two-point law cuts each bit at 1/2: a clear bit is -1, a set one +1,
+    # and a word with one bit set decodes to +1 at that bit alone
+    if law in TWO_POINT_LAWS:
+        words = [0, 2**64 - 1, *(1 << j for j in range(64))]
+        want = [-1] * 64 + [1] * 64 + [1 if k == j else -1
+                                       for j in range(64) for k in range(64)]
+        got = _values_from_words(law, np.array(words, dtype=np.uint64), None)
+        assert got.dtype == np.int8 and got.tolist() == want
+        return
     cuts, values = cuts_and_values(law)
     ts = [math.ceil(cut * 2**53) for cut in cuts]
     words = [0, 2**64 - 1]
@@ -297,7 +310,7 @@ def test_decoder_cuts_belong_to_the_upper_value(law):
     assert got.dtype == np.int8 and got.tolist() == want
 
 
-_CUT_WORDS = sorted({math.ceil(c * 2**53) << 11 for law in BOUNDED_LAWS
+_CUT_WORDS = sorted({math.ceil(c * 2**53) << 11 for law in BOUNDED_LAWS[2:]
                      for c in cuts_and_values(law)[0] if c < 1.0})
 
 
@@ -308,10 +321,16 @@ _CUT_WORDS = sorted({math.ceil(c * 2**53) << 11 for law in BOUNDED_LAWS
         lambda cw: min(max(cw[0] + cw[1], 0), 2**64 - 1))), min_size=1, max_size=60))
 @settings(max_examples=200, deadline=None)
 def test_word_decoder_reads_the_words_as_their_uniforms(words):
-    # every bounded law decodes a word as the inverse CDF decodes its uniform
+    # every bounded law with a cut decodes a word as the inverse CDF decodes
+    # its uniform, and a two-point law reads each of its bits; so the words
+    # decode alike one at a time, as a row and as a column
     u = uniforms(words)
     w = np.array(words, dtype=np.uint64)
-    for law in BOUNDED_LAWS:
+    for law in TWO_POINT_LAWS:
+        assert _values_from_words(law, w, None).tolist() == bit_values(words)
+        assert _values_from_words(law, w[:, None], None).tolist() == \
+            [bit_values([x]) for x in words]
+    for law in BOUNDED_LAWS[2:]:
         cuts, values = cuts_and_values(law)
         want = np.select([u < c for c in cuts], values[:-1], values[-1])
         assert _values_from_words(law, w, None).tolist() == want.tolist()
@@ -323,6 +342,76 @@ def test_word_decoder_reads_the_words_as_their_uniforms(words):
     want = np.select([u < p0, u < p0 + (1.0 - p0) / 2.0], [0, 1], -1)
     want = want * _pareto_magnitudes(law, uniforms(w1))
     assert _values_from_words(law, w, w1).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 4097])
+def test_two_point_draws_are_the_bits_of_the_raw_words(n):
+    # draw k is bit k % 64 of raw word k // 64, read by a Python loop over
+    # the words; n draws move the stream ceil(n / 64) words, however the
+    # draws are split into blocks, from an RngStream or any Generator
+    words = -(-n // 64)
+    for law in TWO_POINT_LAWS:
+        for make in (lambda: RngStream(21, 0).generator(), lambda: np.random.default_rng(21)):
+            raw = make().bit_generator.random_raw(words + 1)
+            assert sample_lattice(law, make(), n).tolist() == bit_values(raw[:words])[:n]
+            for chunk in (1, 7, 64, 65, max(n, 1)):
+                gen = make()
+                blocks = list(laws._lattice_blocks(law, gen, n, chunk))
+                assert all(b.size == min(chunk, n - i * chunk) for i, b in enumerate(blocks))
+                assert sum((b.tolist() for b in blocks), []) == bit_values(raw[:words])[:n]
+                assert gen.bit_generator.random_raw() == raw[words]
+
+
+def test_two_point_draws_are_fair_and_uncorrelated():
+    # P(+1) and the correlations of draws one apart and one word (64) apart,
+    # each within 4 standard errors of its value for independent fair signs
+    n = 1 << 20
+    x = sample_lattice(rademacher(), RngStream(108, 0), n).astype(float)
+    assert abs((x > 0).mean() - 0.5) < 4 * 0.5 / math.sqrt(n)
+    for lag in (1, 64):
+        assert abs((x[:-lag] * x[lag:]).mean()) < 4 / math.sqrt(n - lag)
+
+
+def test_trial_rows_read_bits_from_any_step():
+    # a row from step s on reads its words from s // 64 and skips s % 64
+    # bits, and the trial kernel's chunks start anywhere in a word: each
+    # chunk size gives the rows' walks exactly, against a brute-force walk
+    # and sum of sample_lattice's draws for each row
+    from rangelab.rng import _mix64_vec, _word_rows
+    walk, field, n = simple_symmetric(), rademacher(), 300
+    streams = _mix64_vec(5, np.arange(4, dtype=np.uint64))
+    fields = _mix64_vec(6, np.arange(4, dtype=np.uint64))
+    rows = [sample_lattice(walk, RngStream(int(s), 0), n) for s in streams]
+    for start, width in ((1, 1), (63, 2), (65, 64), (100, 130)):
+        skip = start % 64
+        got = _values_from_words(walk, _word_rows(
+            streams, -(-(skip + width) // 64), start // 64), None)[:, skip:skip + width]
+        assert got.tolist() == [r[start:start + width].tolist() for r in rows]
+    want = []
+    for steps, f in zip(rows, fields):
+        pos = np.cumsum(steps)
+        total = np.cumsum(lattice_at_sites(field, int(f), pos))
+        hits = np.flatnonzero(total == 0)
+        want.append([pos[-1], total[-1], min(0, total.min()), max(0, total.max()),
+                     hits[0] + 1 if hits.size else 0, len(set(pos.tolist()))])
+    for chunk in (1, 7, 63, 64, 65, 100, n - 1, 1 << 20):
+        *ends, (sites,) = laws._marked_trials(walk, field, streams, fields, n, chunk,
+                                              True, False, (lambda pos, total: pos,))
+        assert np.column_stack([*ends, sites[2]]).tolist() == want
+
+
+def test_pareto_magnitude_past_int64_is_a_resource_cap():
+    # the top uniform 1 - 2^-53 at index 0.3 asks for a magnitude near
+    # 2^177: the decoder raises the error the command line exits 3 on
+    from rangelab import harness
+    assert harness.ResourceCapError is laws.ResourceCapError
+    law = pareto_tail(0.3)
+    with pytest.raises(laws.ResourceCapError):
+        _pareto_magnitudes(law, np.array([1.0 - 2.0**-53]))
+    top = np.array([2**64 - 1], dtype=np.uint64)
+    assert uniforms(top)[0] == 1.0 - 2.0**-53
+    with pytest.raises(laws.ResourceCapError):
+        _values_from_words(law, top, top)
 
 
 def test_pareto_sampler_matches_pmf_with_tail_bucket():

@@ -408,6 +408,21 @@ def test_range_stats_reject_bad_steps_and_chunks():
             rwrs_range_stats(SIMPLE_RAD, n, 7, chunk=chunk)
 
 
+def test_streaming_stats_match_the_path_at_any_bit_offset():
+    # a simple walk's steps are bits, 64 to a word: chunks of 7, 100 and
+    # 2^15 + 1 steps start mid-word, and the path's tiles end on a word's
+    # edge, yet the streamed statistics are the path's
+    n = (1 << 15) + 200
+    zp = simulate_rwrs(SIMPLE_RAD, n, 31)
+    hits = np.flatnonzero(zp.values[1:] == 0)
+    want = [int(zp.values.min()), int(zp.values.max()), int(zp.values[-1]), range_z(zp),
+            self_intersections(zp.local_time), hits[0] + 1 if hits.size else 0]
+    for chunk in (7, 100, (1 << 15) + 1):
+        s = rwrs_range_stats(SIMPLE_RAD, n, 31, chunk=chunk)
+        assert [s.z_min, s.z_max, s.z_final, s.distinct_z, s.self_intersections,
+                s.first_return] == want
+
+
 def test_streaming_stats_match_simulation():
     # the heavy-tailed walk also reads each step's second uniform; 2003 is
     # not a multiple of the 4 uniforms in a Philox block

@@ -293,7 +293,7 @@ CASES = {
         "8335676fc328677b6243b9399854559fc91f468c363f275a9f4e4faf13377e13"),
     "harness_rwrs": (
         lambda: harness_parts("rwrs"),
-        "2163cdd8aef45c26d57beea78babb943b0239d18b18667f944b0e015b9ba725d"),
+        "a8cfb85206211a388620a4c055775c3dac987d25630de8eee8e28e1d563656d5"),
     "harness_limit": (
         lambda: harness_parts("limit"),
         "7b46614a551289ea23431e8bc4c52a1a6583115939eb0f24558199a33fb2d992"),
@@ -308,16 +308,16 @@ CASES = {
         "6d7b2d9f5fa57803ea52e25ba5320520fa936c24437bc1762b96b36745abb9a6"),
     "no_return_z_count": (
         no_return_z_count_parts,
-        "f5619d19253ede77b5c444b092ab96503c959c0b276f917c4b58bb306d9d53ff"),
+        "c7507b6cce45f0d06b1c2f071faf88670e09b1f6782e23a800096d3d1db044ff"),
     "rwrs_range_stats": (
         rwrs_range_stats_parts,
-        "7136399562d933dcf82f13d53414fdbb3644d7f868146ad9e7ee9e74d705762e"),
+        "b8a9712aaf0b816eaae7d5bdd14563836abad5089f068530db4aa13004a69777"),
     "results_csv": (
         results_csv_parts,
-        "5b19f714db308549d820fa9981009cf2afef4bad442cb695f746426e17874c8e"),
+        "d4bbfced4b34677cd9d1a74f09f48533b47a184e502de5dc55ef7e6b58ca9e79"),
     "sample_lattice": (
         sample_lattice_parts,
-        "d4660cfcdc764d322ac57a5e95f1688a44b2c3454ab55d475723f42a7a136b3b"),
+        "41ba1ee55f6d3e2a40ec4aa4339d598c8905df77df38add2c184d8c89c375a8c"),
     "sample_scenery_integral": (
         sample_scenery_integral_parts,
         "c0a553b22c69547ef5eb10ad15a8eac02263e5a0e4151d3661f8ff96b6bade8f"),
@@ -344,7 +344,7 @@ CASES = {
         "579d4546ca582f6b4bd3571bcb37566e7f7504d7e8e68b1bc82642f275e38971"),
     "simulate_rwrs": (
         simulate_rwrs_parts,
-        "3a21365e1b04241a0c6dbed454266820bdd13a9f4c2b5d71e4a1bb08c212f5b2"),
+        "7082174514732915ca6949846a7863427bdfbd7d4236969afa1ecb64b013248a"),
     "skew_product_endpoints": (
         skew_product_endpoints_parts,
         "219964f17a88a70b04d7af5c8bdb2673aded9035fd8fc02395edf79286305d48"),
