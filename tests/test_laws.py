@@ -278,8 +278,8 @@ def bit_values(words):
 
 
 TWO_POINT_LAWS = [rademacher(), simple_symmetric()]
-BOUNDED_LAWS = [*TWO_POINT_LAWS, ternary(0.3), lazy_vertical(0.6),
-                ternary(0.0), lazy_vertical(1.0 - 2.0**-53)]
+CUT_LAWS = [ternary(0.3), lazy_vertical(0.6), ternary(0.0), lazy_vertical(1.0 - 2.0**-53)]
+BOUNDED_LAWS = TWO_POINT_LAWS + CUT_LAWS
 
 
 @pytest.mark.parametrize("law", BOUNDED_LAWS)
@@ -310,7 +310,7 @@ def test_decoder_cuts_belong_to_the_upper_value(law):
     assert got.dtype == np.int8 and got.tolist() == want
 
 
-_CUT_WORDS = sorted({math.ceil(c * 2**53) << 11 for law in BOUNDED_LAWS[2:]
+_CUT_WORDS = sorted({math.ceil(c * 2**53) << 11 for law in CUT_LAWS
                      for c in cuts_and_values(law)[0] if c < 1.0})
 
 
@@ -330,7 +330,7 @@ def test_word_decoder_reads_the_words_as_their_uniforms(words):
         assert _values_from_words(law, w, None).tolist() == bit_values(words)
         assert _values_from_words(law, w[:, None], None).tolist() == \
             [bit_values([x]) for x in words]
-    for law in BOUNDED_LAWS[2:]:
+    for law in CUT_LAWS:
         cuts, values = cuts_and_values(law)
         want = np.select([u < c for c in cuts], values[:-1], values[-1])
         assert _values_from_words(law, w, None).tolist() == want.tolist()
