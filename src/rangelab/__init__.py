@@ -15,4 +15,4 @@ Submodules:
 
 from . import cli, enumeration, harness, laws, limit, oriented, rng, rwrs
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

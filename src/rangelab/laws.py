@@ -12,10 +12,14 @@ variance 2 * a1.
 
 Lattice laws are integer-valued distributions used as walk steps and
 scenery values.  All of them are symmetric, hence centered whenever the
-mean exists, and their support generates the integers.  Site values,
-and steps of the laws with more than two values, are decoded from 64-bit
-words w as the inverse CDF decodes the uniform (w >> 11) * 2^-53, which
-only pareto_tail forms; a two-point step is a single bit of a word.
+mean exists, and their support generates the integers.  A site value
+is decoded from one hashed 64-bit word w as the inverse CDF decodes the
+uniform (w >> 11) * 2^-53, which only pareto_tail forms (a two-point
+law reads the top bit).  A step drawn from a stream reads the fewest
+bits b of 1, 2, 4 or 8 at which the law's cuts are exact, 64 / b steps
+to a word, through a table of every byte's values: one bit for the
+two-point laws, two for the lazy walk at p = 1/2.  Laws with no such b,
+pareto_tail among them, take a whole word per step as sites do.
 
 Both models' Monte Carlo kernels live here too.  Each model sums a
 hashed site field along a walk: rwrs marks every arrival site, the
@@ -316,25 +320,74 @@ def _at_cut(w: np.ndarray, cut: float) -> np.ndarray:
     return w >= np.uint64(t << 11) if t < 1 << 53 else np.zeros(np.shape(w), dtype=bool)
 
 
+@lru_cache(maxsize=32)
+def _field_bits(law: LatticeLaw) -> int:
+    """Bits a stream draw of law reads: the fewest b in (1, 2, 4, 8) at which
+    its cuts are exact, so that a b-bit field f decodes as its uniform
+    f / 2^b would; 64, a whole word through _cut_values, when there is none
+    (pareto_tail, or a cut finer than 2^-8)."""
+    if law.kind in _TWO_POINT:
+        return 1
+    if law.kind == "pareto_tail":
+        return 64
+    cuts = (law.zero_mass, law.zero_mass + (1.0 - law.zero_mass) / 2.0)
+    return next((b for b in (1, 2, 4, 8) if all((c * 2**b).is_integer() for c in cuts)), 64)
+
+
+# bytes _values_from_words decodes by one take: a take of 8-byte table rows
+# (two-point laws) took about 0.04 ms for 2^15 bytes but 0.8-1.1 ms for
+# 2^17, so longer runs are decoded a slice at a time
+_DECODE_BYTES = 1 << 15
+
+
+@lru_cache(maxsize=32)
+def _byte_table(law: LatticeLaw) -> np.ndarray:
+    # row B: the values of byte B's 8 / b fields of b = _field_bits(law) bits,
+    # lowest bits first.  A two-point field is a bit, +1 when set; any other
+    # is the top b bits of a word whose uniform is f / 2^b, decoded as such
+    b = _field_bits(law)
+    f = (np.arange(256, dtype=np.uint64)[:, None] >> np.arange(0, 8, b, dtype=np.uint64)
+         ) & np.uint64((1 << b) - 1)
+    if law.kind in _TWO_POINT:
+        return f.astype(np.int8) * 2 - 1
+    return _cut_values(law, f << np.uint64(64 - b), None)
+
+
 def _values_from_words(law: LatticeLaw, w0: np.ndarray,
                        w1: np.ndarray | None) -> np.ndarray:
-    """Map 64-bit words to law values; the single decoder of stream draws.
+    """Map raw 64-bit words to law values; the single decoder of stream draws.
 
-    The two-point kinds read every bit of w0: the words along its last
-    axis, k of them, give 64 * k values there, bit j of word i (lowest
-    bit first) being value 64 * i + j, +1 for a set bit.  The other kinds
-    compare each word of w0 with their cuts, one value per word; only
-    pareto_tail reads w1, the others accept None for it.  The bounded
-    kinds come back as int8, pareto_tail as int64.
+    A law whose draws read b < 64 bits (_field_bits) reads every field of
+    w0: the k words along its last axis give 64 / b * k values there,
+    field j of word i, lowest bits first, being value 64 / b * i + j.  A
+    table of every byte's 8 / b values (_byte_table) decodes them.  Any
+    other law takes one value per word of w0 from _cut_values, pareto_tail
+    its magnitudes from w1; the others accept None for it.
     """
-    if law.kind in _TWO_POINT:
-        # bytes in little-endian order, so bit j of a word is bit j % 8 of
-        # byte j // 8 whatever the host's byte order
-        w0 = np.ascontiguousarray(w0, dtype="<u8")
-        out = np.unpackbits(w0.view(np.uint8), axis=-1, bitorder="little").view(np.int8)
-        out += out
-        out -= 1
-        return out
+    b = _field_bits(law)
+    if b == 64:
+        return _cut_values(law, w0, w1)
+    # bytes in little-endian order, so field j of a word sits in byte
+    # j * b // 8 whatever the host's byte order
+    w0 = np.ascontiguousarray(w0, dtype="<u8")
+    table, data = _byte_table(law), w0.view(np.uint8).reshape(-1)
+    if data.size <= _DECODE_BYTES:
+        out = table.take(data, axis=0)
+    else:
+        out = np.empty((data.size, table.shape[1]), dtype=np.int8)
+        for i in range(0, data.size, _DECODE_BYTES):
+            part = slice(i, i + _DECODE_BYTES)
+            # mode="clip" writes out unbuffered; a byte indexes a row anyway
+            table.take(data[part], axis=0, out=out[part], mode="clip")
+    return out.reshape(*w0.shape[:-1], w0.shape[-1] * 64 // b)
+
+
+def _cut_values(law: LatticeLaw, w0: np.ndarray, w1: np.ndarray | None) -> np.ndarray:
+    """One value of law per word of w0, as the inverse CDF decodes the
+    uniform (w >> 11) * 2^-53: stream draws of the laws without a field
+    (_field_bits 64), and site values but for the two-point signs
+    (_keyed_signs).  Only pareto_tail reads w1, one magnitude per word; the
+    bounded kinds come back as int8, pareto_tail as int64."""
     # the ternary kinds give 0, +1, -1 between their cuts, and so do the
     # atom and the two signed tails of pareto_tail
     zm = law.zero_mass if law.kind != "pareto_tail" else lattice_pmf(law, 0)
@@ -366,10 +419,12 @@ def _keyed_signs(keys, sites, out=None, work=None) -> np.ndarray:
 def sample_lattice(law: LatticeLaw, rng, size: int | None = None):
     """Draw from ``law`` using a stream or generator; scalar when size is None.
 
-    Draws decode the generator's raw 64-bit words: a two-point law takes
-    one bit per draw (draw k is bit k % 64 of word k // 64, lowest bit
-    first), so n draws move the stream ceil(n / 64) words; the other laws
-    take one word per draw, and pareto_tail n more for its magnitudes.
+    Draws decode the generator's raw 64-bit words.  A law whose cuts are
+    exact in b of 1, 2, 4 or 8 bits (_field_bits: the two-point laws with
+    b = 1, lazy_vertical(0.5) with b = 2) reads b bits per draw, draw k
+    being field k % (64 / b) of word k * b // 64, lowest bits first, so n
+    draws move the stream ceil(n * b / 64) words.  Any other law takes one
+    word per draw, and pareto_tail n more for its magnitudes.
     """
     n = 1 if size is None else int(size)
     vals = next(_lattice_blocks(law, rng, n, max(n, 1)), np.zeros(0, dtype=np.int64))
@@ -380,25 +435,16 @@ def _lattice_blocks(law: LatticeLaw, rng, n: int, chunk: int):
     """Yield n draws from ``law`` in consecutive blocks of at most chunk draws,
     so that the blocks do not depend on chunk.
 
-    A two-point law reads the bits of the first ceil(n / 64) raw words of
-    rng, as _values_from_words decodes them; the bits a block leaves
-    unread open the next block.  The other laws read w0 from the first n
-    raw words and, for pareto_tail only, w1 from the next n.  Across
-    blocks w1 comes from a second generator of the stream moved past the
-    first n (Philox advance(k) skips 4k words), so rng must then be an
+    The draws are the fields of the first ceil(n / per) raw words of rng,
+    per = 64 // _field_bits(law) of them a word, as _values_from_words
+    decodes them; the fields a block leaves unread open the next block.
+    pareto_tail (per = 1) reads w1 from the n raw words after the first n.
+    Across blocks w1 comes from a second generator of the stream moved past
+    the first n (Philox advance(k) skips 4k words), so rng must then be an
     RngStream, not a Generator.
     """
     bits = as_generator(rng).bit_generator
-    if law.kind in _TWO_POINT:
-        spare = np.zeros(0, dtype=np.int8)
-        for done in range(0, n, chunk):
-            m = min(chunk, n - done)
-            if spare.size < m:
-                words = bits.random_raw(-(-(m - spare.size) // 64))
-                spare = np.concatenate([spare, _values_from_words(law, words, None)])
-            yield spare[:m]
-            spare = spare[m:]
-        return
+    per = 64 // _field_bits(law)
     second = None
     if law.kind == "pareto_tail":
         second = bits
@@ -406,10 +452,16 @@ def _lattice_blocks(law: LatticeLaw, rng, n: int, chunk: int):
             second = rng.generator().bit_generator
             second.advance(n // 4)
             second.random_raw(n % 4)
+    spare = np.zeros(0, dtype=np.int8)
     for done in range(0, n, chunk):
         m = min(chunk, n - done)
-        yield _values_from_words(  # arguments run in order: w0 before w1
-            law, bits.random_raw(m), None if second is None else second.random_raw(m))
+        if spare.size < m:
+            words = -(-(m - spare.size) // per)
+            new = _values_from_words(  # arguments run in order: w0 before w1
+                law, bits.random_raw(words), None if second is None else second.random_raw(words))
+            spare = np.concatenate([spare, new]) if spare.size else new
+        yield spare[:m]
+        spare = spare[m:]
 
 
 # draws the batch kernels decode and walk at a time, and trial-steps in a
@@ -468,12 +520,14 @@ def lattice_at_keyed_sites(law: LatticeLaw, key0, key1, sites) -> np.ndarray:
 
     key0 and key1 broadcast against sites (shape (m, 1) keys against
     (m, n) sites evaluates m fields at once); _field_keys gives them for
-    a seed.  Values come in the decoder's dtype, int8 for the bounded kinds.
+    a seed.  Each site reads one hashed word, however few bits a stream
+    draw of law reads: _cut_values decodes it, or _keyed_signs for a
+    two-point law.  Values come as int8 for the bounded kinds.
     """
     if law.kind in _TWO_POINT:
         return _keyed_signs(key0, sites)
     w1 = _keyed_words(key1, sites) if law.kind == "pareto_tail" else None
-    return _values_from_words(law, _keyed_words(key0, sites), w1)
+    return _cut_values(law, _keyed_words(key0, sites), w1)
 
 
 # -- marked walks ---------------------------------------------------------------
@@ -500,7 +554,9 @@ def _marked_trials(walk: LatticeLaw, field: LatticeLaw, streams, fields, n: int,
     by _marked_walk with the field _field_keys(fields[r]) keys, chunk steps
     of every row at a time (the results do not depend on chunk).
 
-    A chunk's words are drawn and decoded at once, its steps walked in
+    A chunk's words are drawn and decoded at once: from step c0 on, a row
+    reads its words from c0 // per and skips c0 % per fields, per =
+    64 // _field_bits(walk) steps a word.  Its steps are walked in
     tiles of at most _BATCH_STEPS trial-steps (whole rows or a piece of
     one row), and each tally's keys fill one array per chunk, which
     _row_counts adds to the counts carried from the chunks before: by
@@ -517,17 +573,15 @@ def _marked_trials(walk: LatticeLaw, field: LatticeLaw, streams, fields, n: int,
     key0, key1 = (k[:, None] for k in _field_keys(fields))
     pos_end, end, lo, hi, first_return = np.zeros((5, len(streams)), dtype=np.int64)
     seen = [_row_counts(np.zeros((len(streams), 0), dtype=np.int64)) for _ in tallies]
+    per_word = 64 // _field_bits(walk)
     for c0 in range(0, n, chunk):
         w = min(chunk, n - c0)
-        if walk.kind in _TWO_POINT:
-            # as sample_lattice: step k is bit k % 64 of word k // 64
-            skip = c0 % 64
-            steps = _values_from_words(walk, _word_rows(
-                streams, -(-(skip + w) // 64), c0 // 64), None)[:, skip:skip + w]
-        else:
-            # w1 of step k is word n + k of the stream
-            w1 = _word_rows(streams, w, n + c0) if walk.kind == "pareto_tail" else None
-            steps = _values_from_words(walk, _word_rows(streams, w, c0), w1)
+        # as sample_lattice: step k is field k % per_word of word k // per_word,
+        # and pareto_tail's w1 of step k (one step a word) is word n + k
+        skip = c0 % per_word
+        w1 = _word_rows(streams, w, n + c0) if walk.kind == "pareto_tail" else None
+        steps = _values_from_words(walk, _word_rows(
+            streams, -(-(skip + w) // per_word), c0 // per_word), w1)[:, skip:skip + w]
         keys = [np.empty(steps.shape, dtype=np.int64) for _ in tallies]
         per = _block_rows(w)
         for r0, t0 in product(range(0, len(streams), per),

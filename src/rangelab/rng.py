@@ -5,9 +5,11 @@ draws (path increments, stable variates) come from numpy's counter-based
 Philox generator keyed by ``(master_seed, stream_id)``, so any number of
 streams can be split off without coordination and trials may run in any
 order, on any worker, with identical results.  Lattice steps are decoded
-from its raw 64-bit words (``random_raw``): a two-point step is one bit,
-lowest first, so a word carries 64 of them, and a step of any other law
-takes a whole word.  Site values are decoded from hashed words.
+from its raw 64-bit words (``random_raw``): a step of a law whose cuts
+are exact in b of 1, 2, 4 or 8 bits is one b-bit field, lowest first, so
+a word carries 64 / b of them (64 two-point steps, 32 lazy steps at
+p = 1/2), and a step of any other law takes a whole word.  Site values
+are decoded from hashed words, one per site.
 
 Individual lattice sites (environment rows, scenery cells) are hashed
 directly with a splitmix64 finalizer instead of consuming generator
@@ -120,8 +122,9 @@ def _word_rows(seeds, width: int, start: int = 0) -> np.ndarray:
     """Row r holds raw words start..start+width-1 of RngStream(seeds[r], 0),
     the words under its uniforms: one stream per trial, stacked into a block.
 
-    A row of two-point steps from step s on reads its words from s // 64
-    and skips the first s % 64 bits, as each word carries 64 steps."""
+    A row of steps from step s on, per steps to a word (64 / b for steps
+    of b bits), reads its words from s // per and skips the first s % per
+    steps."""
     w = np.empty((len(seeds), width), dtype=np.uint64)
     bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     # a new stream's state, nothing buffered and counter start // 4 (where

@@ -16,10 +16,10 @@ from rangelab.laws import (LatticeLaw, StableLaw, lattice_at_sites,
                            sample_stable, simple_symmetric, stable_cf,
                            stable_index, ternary)
 from rangelab import laws
-from rangelab.laws import (_keyed_signs, _pareto_magnitudes, _pareto_tables, _row_counts,
-                           _values_from_words)
+from rangelab.laws import (_cut_values, _keyed_signs, _pareto_magnitudes, _pareto_tables,
+                           _row_counts, _values_from_words)
 from rangelab.oriented import _encode_sites, no_return_count
-from rangelab.rng import RngStream, _finalize_vec
+from rangelab.rng import RngStream, _finalize_vec, site_hash
 from rangelab.rwrs import RwrsModel, no_return_z_count
 
 # ---------------------------------------------------------------------------
@@ -271,15 +271,57 @@ def cuts_and_values(law):
     return [zm, zm + (1.0 - zm) / 2.0], [0, 1, -1]
 
 
-def bit_values(words):
-    # the two-point decoding, one value per bit: bit j of word i, lowest
-    # first, is value 64 * i + j, +1 when set
-    return [1 if (int(w) >> j) & 1 else -1 for w in words for j in range(64)]
+def field_values(law, b, words):
+    # the stream decoding of a law drawn b bits at a time: field j of word i,
+    # lowest bits first, is value 64 / b * i + j; a two-point field is a bit,
+    # +1 when set, any other the value at the uniform f / 2^b of its bits f
+    out = []
+    for w in words:
+        for j in range(64 // b):
+            f = (int(w) >> (b * j)) & ((1 << b) - 1)
+            if law in TWO_POINT_LAWS:
+                out.append(1 if f else -1)
+            else:
+                cuts, values = cuts_and_values(law)
+                out.append(values[sum(f / 2**b >= c for c in cuts)])
+    return out
 
 
 TWO_POINT_LAWS = [rademacher(), simple_symmetric()]
+# the laws _cut_values decodes one value per word: every site field but the
+# two-point signs, and the stream draws of the laws without a field
 CUT_LAWS = [ternary(0.3), lazy_vertical(0.6), ternary(0.0), lazy_vertical(1.0 - 2.0**-53)]
 BOUNDED_LAWS = TWO_POINT_LAWS + CUT_LAWS
+# laws whose stream draws read b bits, b the fewest of 1, 2, 4 and 8 at
+# which both cuts are exact, against laws whose cuts no such b fits
+FIELD_BITS = [(lazy_vertical(0.5), 2), (lazy_vertical(0.75), 4), (ternary(0.25), 4),
+              (ternary(0.0), 1), (lazy_vertical(1.0 - 2.0**-7), 8)]
+WORD_LAWS = [lazy_vertical(0.3), ternary(0.3), lazy_vertical(0.6),
+             lazy_vertical(1.0 - 2.0**-53), lazy_vertical(1.0 - 2.0**-8),
+             lazy_vertical(0.5 + 2.0**-9)]
+
+
+def test_field_bits_are_the_fewest_that_hold_the_cuts():
+    for law in TWO_POINT_LAWS:
+        assert laws._field_bits(law) == 1
+    for law, b in FIELD_BITS:
+        assert laws._field_bits(law) == b
+    for law in WORD_LAWS + [pareto_tail(1.5), pareto_tail(0.7)]:
+        assert laws._field_bits(law) == 64
+
+
+@pytest.mark.parametrize("law, b", FIELD_BITS[:4],
+                         ids=[f"{law.kind}({law.zero_mass})" for law, _ in FIELD_BITS[:4]])
+def test_byte_tables_hold_the_law_exactly(law, b):
+    # row B holds byte B's 8 / b fields, lowest bits first; over the 256
+    # bytes each field position runs through its 2^b patterns equally
+    # often, so value v fills pmf(v) * 256 of each column, exactly
+    table = laws._byte_table(law)
+    assert table.shape == (256, 8 // b) and table.dtype == np.int8
+    assert table.tolist() == [field_values(law, b, [byte])[:8 // b] for byte in range(256)]
+    want = {v: int(lattice_pmf(law, v) * 256) for v in (-1, 0, 1) if lattice_pmf(law, v)}
+    for j in range(8 // b):
+        assert dict(Counter(table[:, j].tolist())) == want
 
 
 @pytest.mark.parametrize("law", BOUNDED_LAWS)
@@ -306,7 +348,7 @@ def test_decoder_cuts_belong_to_the_upper_value(law):
             assert uniforms([t * 2**11 - 1])[0] < cut <= uniforms([t * 2**11])[0]
             words += [t * 2**11 - 1, t * 2**11]
             want += [below, above]
-    got = _values_from_words(law, np.array(words, dtype=np.uint64), None)
+    got = _cut_values(law, np.array(words, dtype=np.uint64), None)
     assert got.dtype == np.int8 and got.tolist() == want
 
 
@@ -322,18 +364,21 @@ _CUT_WORDS = sorted({math.ceil(c * 2**53) << 11 for law in CUT_LAWS
 @settings(max_examples=200, deadline=None)
 def test_word_decoder_reads_the_words_as_their_uniforms(words):
     # every bounded law with a cut decodes a word as the inverse CDF decodes
-    # its uniform, and a two-point law reads each of its bits; so the words
+    # its uniform (the stream decoder too, for a law without a field), and a
+    # law drawn b bits at a time reads each field of b bits; so the words
     # decode alike one at a time, as a row and as a column
     u = uniforms(words)
     w = np.array(words, dtype=np.uint64)
-    for law in TWO_POINT_LAWS:
-        assert _values_from_words(law, w, None).tolist() == bit_values(words)
+    for law, b in [(law, 1) for law in TWO_POINT_LAWS] + FIELD_BITS:
+        assert _values_from_words(law, w, None).tolist() == field_values(law, b, words)
         assert _values_from_words(law, w[:, None], None).tolist() == \
-            [bit_values([x]) for x in words]
+            [field_values(law, b, [x]) for x in words]
     for law in CUT_LAWS:
         cuts, values = cuts_and_values(law)
         want = np.select([u < c for c in cuts], values[:-1], values[-1])
-        assert _values_from_words(law, w, None).tolist() == want.tolist()
+        assert _cut_values(law, w, None).tolist() == want.tolist()
+        if laws._field_bits(law) == 64:
+            assert _values_from_words(law, w, None).tolist() == want.tolist()
     # pareto_tail: the atom and signs as a ternary law with zero mass p0,
     # the magnitude by inverting the uniform of the second word
     law = pareto_tail(1.3)
@@ -344,22 +389,84 @@ def test_word_decoder_reads_the_words_as_their_uniforms(words):
     assert _values_from_words(law, w, w1).tolist() == want.tolist()
 
 
+@pytest.mark.parametrize("piece", [8, 24, 1 << 15])
+def test_long_decodes_go_a_slice_at_a_time(monkeypatch, piece):
+    # past _DECODE_BYTES bytes the table decodes slice after slice into one
+    # array: slices of one word, of three (which split no word) and whole
+    # runs give the Python loop's values, as rows too
+    gen = np.random.default_rng(3)
+    words = gen.integers(0, 2**64, (5, 7), dtype=np.uint64, endpoint=False)
+    monkeypatch.setattr(laws, "_DECODE_BYTES", piece)
+    for law, b in [(rademacher(), 1)] + FIELD_BITS:
+        assert _values_from_words(law, words, None).tolist() == \
+            [field_values(law, b, row) for row in words]
+        assert _values_from_words(law, words.ravel(), None).tolist() == \
+            field_values(law, b, words.ravel())
+    # unpatched, a run of 2 * 2^12 + 1 words against its pieces of 1000
+    monkeypatch.undo()
+    run = gen.integers(0, 2**64, 8193, dtype=np.uint64, endpoint=False)
+    for law, _ in [(rademacher(), 1)] + FIELD_BITS:
+        pieces = [_values_from_words(law, run[i:i + 1000], None) for i in range(0, run.size, 1000)]
+        assert np.array_equal(_values_from_words(law, run, None), np.concatenate(pieces))
+
+
+def check_field_draws(law, b, n, chunks):
+    # draw k is field k % (64 / b) of raw word k * b // 64, read by a Python
+    # loop over the words; n draws move the stream ceil(n * b / 64) words,
+    # however the draws are split into blocks, from an RngStream or any
+    # Generator
+    words = -(-n * b // 64)
+    for make in (lambda: RngStream(21, 0).generator(), lambda: np.random.default_rng(21)):
+        raw = make().bit_generator.random_raw(words + 1)
+        want = field_values(law, b, raw[:words])[:n]
+        assert sample_lattice(law, make(), n).tolist() == want
+        for chunk in (*chunks, max(n, 1)):
+            gen = make()
+            blocks = list(laws._lattice_blocks(law, gen, n, chunk))
+            assert all(b.size == min(chunk, n - i * chunk) for i, b in enumerate(blocks))
+            assert sum((b.tolist() for b in blocks), []) == want
+            assert gen.bit_generator.random_raw() == raw[words]
+
+
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 4097])
 def test_two_point_draws_are_the_bits_of_the_raw_words(n):
-    # draw k is bit k % 64 of raw word k // 64, read by a Python loop over
-    # the words; n draws move the stream ceil(n / 64) words, however the
-    # draws are split into blocks, from an RngStream or any Generator
-    words = -(-n // 64)
     for law in TWO_POINT_LAWS:
-        for make in (lambda: RngStream(21, 0).generator(), lambda: np.random.default_rng(21)):
-            raw = make().bit_generator.random_raw(words + 1)
-            assert sample_lattice(law, make(), n).tolist() == bit_values(raw[:words])[:n]
-            for chunk in (1, 7, 64, 65, max(n, 1)):
+        check_field_draws(law, 1, n, (1, 7, 64, 65))
+
+
+@pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 4097])
+def test_field_draws_are_the_fields_of_the_raw_words(n):
+    # lazy_vertical(0.5), the Campanino-Petritis walk's vertical step, reads
+    # two bits a draw, 32 a word; the other field widths ride along
+    for law, b in FIELD_BITS:
+        check_field_draws(law, b, n, (1, 7, 31, 32, 33))
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 1000])
+def test_draws_without_a_field_take_a_word_each(n):
+    # the other bounded laws keep their streams: draw k decodes raw word k
+    for law in (lazy_vertical(0.3), ternary(0.3), lazy_vertical(1.0 - 2.0**-53)):
+        for make in (lambda: RngStream(22, 0).generator(), lambda: np.random.default_rng(22)):
+            raw = make().bit_generator.random_raw(n + 1)
+            want = _values_from_words(law, raw[:n], None).tolist()
+            assert want == _cut_values(law, raw[:n], None).tolist()
+            assert sample_lattice(law, make(), n).tolist() == want
+            for chunk in (1, 7, max(n, 1)):
                 gen = make()
                 blocks = list(laws._lattice_blocks(law, gen, n, chunk))
-                assert all(b.size == min(chunk, n - i * chunk) for i, b in enumerate(blocks))
-                assert sum((b.tolist() for b in blocks), []) == bit_values(raw[:words])[:n]
-                assert gen.bit_generator.random_raw() == raw[words]
+                assert sum((b.tolist() for b in blocks), []) == want
+                assert gen.bit_generator.random_raw() == raw[n]
+
+
+def test_lazy_half_steps_are_fair_and_uncorrelated():
+    # P(0) = 1/2 and P(+1) = 1/4, and the correlations of steps one apart
+    # and one word (32) apart, each within 4 standard errors
+    n = 1 << 20
+    x = sample_lattice(lazy_vertical(0.5), RngStream(109, 0), n).astype(float)
+    assert abs((x == 0).mean() - 0.5) < 4 * 0.5 / math.sqrt(n)
+    assert abs((x > 0).mean() - 0.25) < 4 * math.sqrt(3 / 16 / n)
+    for lag in (1, 32):
+        assert abs((x[:-lag] * x[lag:]).mean()) < 4 * 0.5 / math.sqrt(n - lag)
 
 
 def test_two_point_draws_are_fair_and_uncorrelated():
@@ -373,31 +480,33 @@ def test_two_point_draws_are_fair_and_uncorrelated():
 
 
 def test_trial_rows_read_bits_from_any_step():
-    # a row from step s on reads its words from s // 64 and skips s % 64
-    # bits, and the trial kernel's chunks start anywhere in a word: each
-    # chunk size gives the rows' walks exactly, against a brute-force walk
-    # and sum of sample_lattice's draws for each row
+    # a row from step s on reads its words from s // per and skips s % per
+    # fields, per = 64 / b fields a word, and the trial kernel's chunks
+    # start anywhere in a word: each chunk size gives the rows' walks
+    # exactly, against a brute-force walk and sum of sample_lattice's draws
+    # for each row.  Simple steps are single bits, lazy steps at p = 1/2 two
     from rangelab.rng import _mix64_vec, _word_rows
-    walk, field, n = simple_symmetric(), rademacher(), 300
+    field, n = rademacher(), 300
     streams = _mix64_vec(5, np.arange(4, dtype=np.uint64))
     fields = _mix64_vec(6, np.arange(4, dtype=np.uint64))
-    rows = [sample_lattice(walk, RngStream(int(s), 0), n) for s in streams]
-    for start, width in ((1, 1), (63, 2), (65, 64), (100, 130)):
-        skip = start % 64
-        got = _values_from_words(walk, _word_rows(
-            streams, -(-(skip + width) // 64), start // 64), None)[:, skip:skip + width]
-        assert got.tolist() == [r[start:start + width].tolist() for r in rows]
-    want = []
-    for steps, f in zip(rows, fields):
-        pos = np.cumsum(steps)
-        total = np.cumsum(lattice_at_sites(field, int(f), pos))
-        hits = np.flatnonzero(total == 0)
-        want.append([pos[-1], total[-1], min(0, total.min()), max(0, total.max()),
-                     hits[0] + 1 if hits.size else 0, len(set(pos.tolist()))])
-    for chunk in (1, 7, 63, 64, 65, 100, n - 1, 1 << 20):
-        *ends, (sites,) = laws._marked_trials(walk, field, streams, fields, n, chunk,
-                                              True, False, (lambda pos, total: pos,))
-        assert np.column_stack([*ends, sites[2]]).tolist() == want
+    for walk, per in ((simple_symmetric(), 64), (lazy_vertical(0.5), 32)):
+        rows = [sample_lattice(walk, RngStream(int(s), 0), n) for s in streams]
+        for start, width in ((1, 1), (per - 1, 2), (per + 1, per), (100, 130)):
+            skip = start % per
+            got = _values_from_words(walk, _word_rows(
+                streams, -(-(skip + width) // per), start // per), None)[:, skip:skip + width]
+            assert got.tolist() == [r[start:start + width].tolist() for r in rows]
+        want = []
+        for steps, f in zip(rows, fields):
+            pos = np.cumsum(steps)
+            total = np.cumsum(lattice_at_sites(field, int(f), pos))
+            hits = np.flatnonzero(total == 0)
+            want.append([pos[-1], total[-1], min(0, total.min()), max(0, total.max()),
+                         hits[0] + 1 if hits.size else 0, len(set(pos.tolist()))])
+        for chunk in (1, 7, 31, 32, 33, 63, 64, 65, 100, n - 1, 1 << 20):
+            *ends, (sites,) = laws._marked_trials(walk, field, streams, fields, n, chunk,
+                                                  True, False, (lambda pos, total: pos,))
+            assert np.column_stack([*ends, sites[2]]).tolist() == want
 
 
 def test_pareto_magnitude_past_int64_is_a_resource_cap():
@@ -412,6 +521,21 @@ def test_pareto_magnitude_past_int64_is_a_resource_cap():
     assert uniforms(top)[0] == 1.0 - 2.0**-53
     with pytest.raises(laws.ResourceCapError):
         _values_from_words(law, top, top)
+
+
+def test_a_bisected_magnitude_of_two_to_the_63_is_a_resource_cap(monkeypatch):
+    # a cdf that steps from 0 to 1 at k stops the doubling at hi = 2^63 for
+    # any k in (2^62, 2^63]; the bisection then finds k, which int64 holds
+    # up to 2^63 - 1, and the closing check refuses 2^63
+    def step_at(k):
+        return lambda index, z, ks: (ks >= np.uint64(k)).astype(float)
+
+    target = np.array([0.5])
+    monkeypatch.setattr(laws, "_pareto_magnitude_cdf", step_at(2**63 - 1))
+    assert laws._deep_magnitudes(0.5, 1.0, target).tolist() == [2**63 - 1]
+    monkeypatch.setattr(laws, "_pareto_magnitude_cdf", step_at(2**63))
+    with pytest.raises(laws.ResourceCapError):
+        laws._deep_magnitudes(0.5, 1.0, target)
 
 
 def test_pareto_sampler_matches_pmf_with_tail_bucket():
@@ -499,6 +623,20 @@ def test_sign_shortcut_reads_the_uniform_route():
     got = _keyed_signs(keys[4], sites[4], out, work)
     assert np.shares_memory(got, out)
     assert np.array_equal(got, np.where(keyed_uniform(keys[4], sites[4]) >= 0.5, 1, -1))
+
+
+def test_dyadic_site_fields_read_one_word_per_site():
+    # a stream draw of ternary(0.5) reads 2 bits and of ternary(0.0) 1, but
+    # a site still reads its whole hashed word, as the inverse CDF decodes
+    # the word's 53-bit uniform: one value per site, not 64 / b
+    sites = np.arange(-3000, 3000).reshape(2, -1)
+    for law in (ternary(0.5), ternary(0.0)):
+        assert laws._field_bits(law) < 64
+        cuts, values = cuts_and_values(law)
+        u = uniforms(site_hash(77, sites))
+        want = np.select([u < c for c in cuts], values[:-1], values[-1])
+        got = lattice_at_sites(law, 77, sites)
+        assert got.shape == sites.shape and np.array_equal(got, want)
 
 
 def test_lattice_at_sites_differs_across_seeds():

@@ -290,7 +290,7 @@ CASES = {
         "9f634e713f274a31052ea203d662562766ab15bba3fbb25762ec9fb1edbfd184"),
     "harness_oriented": (
         lambda: harness_parts("oriented"),
-        "8335676fc328677b6243b9399854559fc91f468c363f275a9f4e4faf13377e13"),
+        "bedd1b279362d37b9842c5f10ca013201f23c3e74c8322589dfc7bdda2648ecf"),
     "harness_rwrs": (
         lambda: harness_parts("rwrs"),
         "a8cfb85206211a388620a4c055775c3dac987d25630de8eee8e28e1d563656d5"),
@@ -299,25 +299,25 @@ CASES = {
         "7b46614a551289ea23431e8bc4c52a1a6583115939eb0f24558199a33fb2d992"),
     "annealed_endpoints": (
         annealed_endpoints_parts,
-        "4e9ed89f180cf773802c3ffcdf5ce2cc3eb2598476387b30b8ae677e36bf7644"),
+        "ec0a923c7f07ec125bf209b3600e3d6a5cbc3b5dda8a811182a0434b37fcafb4"),
     "annealed_range_stats": (
         annealed_range_stats_parts,
-        "42225d36ca5048bfaae3c8ad4b88bfffec657199f877351202ca51c48a34e847"),
+        "1b09b64e62858f74248091552a2e0247c0ff0d418b16fc96b0890b7aa9b8f493"),
     "no_return_count": (
         no_return_count_parts,
-        "6d7b2d9f5fa57803ea52e25ba5320520fa936c24437bc1762b96b36745abb9a6"),
+        "6e6da16e5bdb97c3d225fb08742929c7810b35beab44aa0b3f926f50b0c58412"),
     "no_return_z_count": (
         no_return_z_count_parts,
-        "c7507b6cce45f0d06b1c2f071faf88670e09b1f6782e23a800096d3d1db044ff"),
+        "d060cc7aff448707d2eb328f1c2b748100476e36f679a7c7bda55fd1323ce953"),
     "rwrs_range_stats": (
         rwrs_range_stats_parts,
-        "b8a9712aaf0b816eaae7d5bdd14563836abad5089f068530db4aa13004a69777"),
+        "44ff9c59926a4e02216be3e6fa971d164ed7388399ec29a395d42ab94ba86a41"),
     "results_csv": (
         results_csv_parts,
         "d4bbfced4b34677cd9d1a74f09f48533b47a184e502de5dc55ef7e6b58ca9e79"),
     "sample_lattice": (
         sample_lattice_parts,
-        "41ba1ee55f6d3e2a40ec4aa4339d598c8905df77df38add2c184d8c89c375a8c"),
+        "de3e767ad36368ad8feda0969a24430b966e7fcd64d21980350f35ddf8af5b7c"),
     "sample_scenery_integral": (
         sample_scenery_integral_parts,
         "c0a553b22c69547ef5eb10ad15a8eac02263e5a0e4151d3661f8ff96b6bade8f"),
@@ -338,19 +338,19 @@ CASES = {
         "3111203bcf903147d5cab0aeca9ea1d9719609019bd1c97cbe2edee1676b399c"),
     "simulate_annealed": (
         simulate_annealed_parts,
-        "134053cfb874277355f69b086ba0582d345ad672621dfa5b139629f5aec1fc98"),
+        "2e868aa4cca08218213ed44e0cbcefbc9a77edd03dca08555f312ad6219de950"),
     "simulate_quenched": (
         simulate_quenched_parts,
-        "579d4546ca582f6b4bd3571bcb37566e7f7504d7e8e68b1bc82642f275e38971"),
+        "65895f05fa64b8671988ef65bce153c2695a39d91fd41a707395d09dbcd95d1e"),
     "simulate_rwrs": (
         simulate_rwrs_parts,
-        "7082174514732915ca6949846a7863427bdfbd7d4236969afa1ecb64b013248a"),
+        "4075e092d06ce44e2acf005de3ea5119fd79bf7ed7b79008a20d2b3d3344508c"),
     "skew_product_endpoints": (
         skew_product_endpoints_parts,
-        "219964f17a88a70b04d7af5c8bdb2673aded9035fd8fc02395edf79286305d48"),
+        "203d42127ba0bfcc0679204317ad836c21e27251a56117a9d02f1c243fc05cd2"),
     "skew_product_path": (
         skew_product_path_parts,
-        "74260ca766a7eae6fb866bdf4aa2a549d1ceba9de57982379f5c9b176d48d61e"),
+        "63cc5642f252ba034d553893371125ee5608154ef53c205b7c7f7f1c4582c46a"),
 }
 
 
