@@ -334,12 +334,6 @@ def _field_bits(law: LatticeLaw) -> int:
     return next((b for b in (1, 2, 4, 8) if all((c * 2**b).is_integer() for c in cuts)), 64)
 
 
-# bytes _values_from_words decodes by one take: a take of 8-byte table rows
-# (two-point laws) took about 0.04 ms for 2^15 bytes but 0.8-1.1 ms for
-# 2^17, so longer runs are decoded a slice at a time
-_DECODE_BYTES = 1 << 15
-
-
 @lru_cache(maxsize=32)
 def _byte_table(law: LatticeLaw) -> np.ndarray:
     # row B: the values of byte B's 8 / b fields of b = _field_bits(law) bits,
@@ -370,15 +364,7 @@ def _values_from_words(law: LatticeLaw, w0: np.ndarray,
     # bytes in little-endian order, so field j of a word sits in byte
     # j * b // 8 whatever the host's byte order
     w0 = np.ascontiguousarray(w0, dtype="<u8")
-    table, data = _byte_table(law), w0.view(np.uint8).reshape(-1)
-    if data.size <= _DECODE_BYTES:
-        out = table.take(data, axis=0)
-    else:
-        out = np.empty((data.size, table.shape[1]), dtype=np.int8)
-        for i in range(0, data.size, _DECODE_BYTES):
-            part = slice(i, i + _DECODE_BYTES)
-            # mode="clip" writes out unbuffered; a byte indexes a row anyway
-            table.take(data[part], axis=0, out=out[part], mode="clip")
+    out = _byte_table(law).take(w0.view(np.uint8).reshape(-1), axis=0)
     return out.reshape(*w0.shape[:-1], w0.shape[-1] * 64 // b)
 
 
@@ -604,8 +590,12 @@ def _marked_trials(walk: LatticeLaw, field: LatticeLaw, streams, fields, n: int,
 
 # -- escape counts -------------------------------------------------------------
 
-# the steps a time-major slab of trials holds, in bytes
+# the steps a time-major slab of trials holds, in bytes, and the trials it
+# walks side by side: at 2^14 trials its per-trial vectors (positions, sums,
+# keys, hash scratch) take about 1 MB, and at horizon 64 all its arrays
+# about 2 MB, against 5 MB for one slab of 40,000 trials
 _SLAB_BYTES = 1 << 22
+_SLAB_TRIALS = 1 << 14
 # fewer trials than this walk faster row by row: a time-major step costs a
 # dozen vector calls on its unreturned trials, a row-major block two cumsums
 _SLAB_MIN_TRIALS = 4096
@@ -628,10 +618,12 @@ def _no_return_count(walk: LatticeLaw, field: LatticeLaw, base: int, horizon: in
     fall at even times only, and only those are tested.
 
     A chunk is walked in slabs of consecutive trials holding at most
-    _SLAB_BYTES of steps.  A slab of _SLAB_MIN_TRIALS trials or more
-    stores its steps time-major, one row per time, and walks its trials
-    side by side one step at a time until they return (see _RETIRE); a
-    narrower one walks its blocks row by row.  Both give the same count.
+    _SLAB_BYTES of steps and _SLAB_TRIALS trials, in whole blocks of
+    _block_rows(horizon) trials (at least one).  A slab of
+    _SLAB_MIN_TRIALS trials or more stores its steps time-major, one row
+    per time, and walks its trials side by side one step at a time until
+    they return (see _RETIRE); a narrower one walks its blocks row by row.
+    Both give the same count.
     """
     if horizon < 1 or trials < 0:
         raise ValueError(f"horizon must be at least 1 and trials nonnegative, "
@@ -639,7 +631,7 @@ def _no_return_count(walk: LatticeLaw, field: LatticeLaw, base: int, horizon: in
     chunk = max(1, (1 << 22) // horizon)
     per = _block_rows(horizon)
     item = 8 if walk.kind == "pareto_tail" else 1  # the decoder's dtype
-    width = per * max(1, _SLAB_BYTES // (horizon * item * per))
+    width = per * max(1, min(_SLAB_BYTES // (horizon * item * per), _SLAB_TRIALS // per))
     blocks = _row_blocks(walk, base, trials, horizon, chunk)
     survivors = 0
     for c0 in range(0, trials, chunk):

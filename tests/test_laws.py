@@ -389,27 +389,6 @@ def test_word_decoder_reads_the_words_as_their_uniforms(words):
     assert _values_from_words(law, w, w1).tolist() == want.tolist()
 
 
-@pytest.mark.parametrize("piece", [8, 24, 1 << 15])
-def test_long_decodes_go_a_slice_at_a_time(monkeypatch, piece):
-    # past _DECODE_BYTES bytes the table decodes slice after slice into one
-    # array: slices of one word, of three (which split no word) and whole
-    # runs give the Python loop's values, as rows too
-    gen = np.random.default_rng(3)
-    words = gen.integers(0, 2**64, (5, 7), dtype=np.uint64, endpoint=False)
-    monkeypatch.setattr(laws, "_DECODE_BYTES", piece)
-    for law, b in [(rademacher(), 1)] + FIELD_BITS:
-        assert _values_from_words(law, words, None).tolist() == \
-            [field_values(law, b, row) for row in words]
-        assert _values_from_words(law, words.ravel(), None).tolist() == \
-            field_values(law, b, words.ravel())
-    # unpatched, a run of 2 * 2^12 + 1 words against its pieces of 1000
-    monkeypatch.undo()
-    run = gen.integers(0, 2**64, 8193, dtype=np.uint64, endpoint=False)
-    for law, _ in [(rademacher(), 1)] + FIELD_BITS:
-        pieces = [_values_from_words(law, run[i:i + 1000], None) for i in range(0, run.size, 1000)]
-        assert np.array_equal(_values_from_words(law, run, None), np.concatenate(pieces))
-
-
 def check_field_draws(law, b, n, chunks):
     # draw k is field k % (64 / b) of raw word k * b // 64, read by a Python
     # loop over the words; n draws move the stream ceil(n * b / 64) words,
@@ -777,6 +756,26 @@ def test_both_routes_count_alike_either_side_of_the_rule(monkeypatch, horizon,
     assert got[0] == got[1] == got[2]
     got = counts_by_route(monkeypatch, no_return_count, 0.5, horizon, trials, 5)
     assert got[0] == got[1] == got[2]
+
+
+def test_time_major_slabs_hold_at_most_slab_trials(monkeypatch):
+    # at horizon 64 a chunk of 40,000 trials walks in slabs of whole blocks
+    # of 512 trials, at most _SLAB_TRIALS of them, and counts as one slab of
+    # all 40,000 does
+    sizes = []
+    walk = laws._time_major
+
+    def spy(blocks, *args):
+        blocks = list(blocks)
+        sizes.append(sum(ids.size for ids, _ in blocks))
+        return walk(iter(blocks), *args)
+
+    monkeypatch.setattr(laws, "_time_major", spy)
+    got = no_return_count(0.5, 64, 40_000, 9)
+    assert sizes == [16_384, 16_384, 7_232]
+    sizes.clear()
+    monkeypatch.setattr(laws, "_SLAB_TRIALS", 1 << 20)
+    assert no_return_count(0.5, 64, 40_000, 9) == got and sizes == [40_000]
 
 
 @pytest.mark.parametrize("walk", _WALKS)
